@@ -9,8 +9,6 @@
 //! * [`louvain`] — modularity-maximizing community detection (Blondel et
 //!   al.), the clustering stage of the paper's segmentation and the
 //!   "conn-weighted / byte-weighted modularity" baselines of Figure 3.
-//!   Local-move sweeps run under the shared [`Parallelism`] knob with
-//!   bit-for-bit serial-identical results.
 //! * [`simrank`] — SimRank and SimRank++ structural similarity, the other
 //!   two Figure 3 baselines.
 //! * [`roles`] — role inference: similarity scoring + clustering of the
@@ -21,7 +19,8 @@
 //! * [`stats`] — traffic-distribution statistics: the byte CCDF of Figure 6,
 //!   degree distributions, concentration indices.
 //! * [`par`] (re-exported from `linalg`) — the scoped-thread tile scheduler
-//!   behind every `_with(…, Parallelism)` kernel variant; [`sym`] — the flat
+//!   behind the Jaccard and MinHash `_with(…, Parallelism)` kernels, the
+//!   only stages that take the [`Parallelism`] knob; [`sym`] — the flat
 //!   packed-upper-triangular [`sym::SymMatrix`] all similarity kernels
 //!   produce.
 

@@ -13,6 +13,9 @@
 //! (a) weighted transition matrices with a *spread* factor `e^{-var}` that
 //! discounts high-variance neighbors and (b) an *evidence* factor
 //! `1 − 2^{−|common neighbors|}` applied to the converged scores.
+//!
+//! Single-threaded: a row-partitioned parallel product measured 0.74×
+//! serial at paper sizes on a 2-core host (DESIGN.md §5).
 
 use crate::wgraph::WeightedGraph;
 use linalg::par::Parallelism;
@@ -34,36 +37,17 @@ impl Default for SimRankConfig {
     }
 }
 
-/// Plain SimRank similarity matrix at the default [`Parallelism`].
+/// Plain SimRank similarity matrix.
 pub fn simrank(g: &WeightedGraph, cfg: SimRankConfig) -> SymMatrix {
-    simrank_with(g, cfg, Parallelism::default())
-}
-
-/// Plain SimRank with an explicit worker count. The matrix products inside
-/// the fixed-point iteration are double-buffered and row-partitioned; each
-/// output row is computed in the serial loop order, so results are
-/// bit-for-bit identical at any worker count.
-pub fn simrank_with(g: &WeightedGraph, cfg: SimRankConfig, parallelism: Parallelism) -> SymMatrix {
     let w = transition_matrix(g, false);
-    iterate(g.node_count(), &w, cfg, parallelism)
+    iterate(g.node_count(), &w, cfg)
 }
 
-/// SimRank++: weight- and spread-aware transitions plus the evidence factor,
-/// at the default [`Parallelism`].
+/// SimRank++: weight- and spread-aware transitions plus the evidence factor.
 pub fn simrank_pp(g: &WeightedGraph, cfg: SimRankConfig) -> SymMatrix {
-    simrank_pp_with(g, cfg, Parallelism::default())
-}
-
-/// SimRank++ with an explicit worker count (same determinism contract as
-/// [`simrank_with`]).
-pub fn simrank_pp_with(
-    g: &WeightedGraph,
-    cfg: SimRankConfig,
-    parallelism: Parallelism,
-) -> SymMatrix {
     let w = transition_matrix(g, true);
-    let mut s = iterate(g.node_count(), &w, cfg, parallelism);
-    apply_evidence(g, &mut s, parallelism);
+    let mut s = iterate(g.node_count(), &w, cfg);
+    apply_evidence(g, &mut s);
     s
 }
 
@@ -120,11 +104,9 @@ fn transition_matrix(g: &WeightedGraph, weighted: bool) -> Matrix {
     w
 }
 
-/// Fixed-point iteration `S ← C · Wᵀ S W`, diagonal pinned to 1. The two
-/// matrix products per iteration run row-partitioned under `parallelism`
-/// (double-buffered: each reads the previous iterate, writes a fresh one);
-/// the converged upper triangle is packed into a [`SymMatrix`].
-fn iterate(n: usize, w: &Matrix, cfg: SimRankConfig, parallelism: Parallelism) -> SymMatrix {
+/// Fixed-point iteration `S ← C · Wᵀ S W`, diagonal pinned to 1; the
+/// converged upper triangle is packed into a [`SymMatrix`].
+fn iterate(n: usize, w: &Matrix, cfg: SimRankConfig) -> SymMatrix {
     assert!((0.0..1.0).contains(&cfg.decay) && cfg.decay > 0.0, "decay must be in (0,1)");
     let mut s = Matrix::identity(n);
     let wt = w.transpose();
@@ -132,9 +114,7 @@ fn iterate(n: usize, w: &Matrix, cfg: SimRankConfig, parallelism: Parallelism) -
         // Both products are n×n by construction; should a shape mismatch
         // ever slip in, stop iterating and pack the last good iterate
         // instead of panicking mid-pipeline.
-        let Ok(mut next) =
-            wt.matmul_with(&s, parallelism).and_then(|x| x.matmul_with(w, parallelism))
-        else {
+        let Ok(mut next) = wt.matmul(&s).and_then(|x| x.matmul(w)) else {
             break;
         };
         for i in 0..n {
@@ -146,15 +126,15 @@ fn iterate(n: usize, w: &Matrix, cfg: SimRankConfig, parallelism: Parallelism) -
         s = next;
     }
     let mut out = SymMatrix::zeros(n);
-    out.fill_upper(parallelism, |i, j| s[(i, j)]);
+    out.fill_upper(Parallelism::serial(), |i, j| s[(i, j)]);
     out
 }
 
 /// Evidence factor `1 − 2^{−|N(a) ∩ N(b)|}` applied off-diagonal.
-fn apply_evidence(g: &WeightedGraph, s: &mut SymMatrix, parallelism: Parallelism) {
+fn apply_evidence(g: &WeightedGraph, s: &mut SymMatrix) {
     let n = g.node_count();
     let sets: Vec<Vec<u32>> = (0..n as u32).map(|u| g.neighbor_set(u)).collect();
-    s.update_upper(parallelism, |a, b, v| {
+    s.update_upper(|a, b, v| {
         if a == b {
             return v;
         }
@@ -290,18 +270,5 @@ mod tests {
     fn empty_graph() {
         let s = simrank(&WeightedGraph::new(0), SimRankConfig::default());
         assert_eq!(s.n(), 0);
-    }
-
-    #[test]
-    fn parallel_simrank_bitwise_matches_serial() {
-        let g = replica_graph();
-        let cfg = SimRankConfig::default();
-        let serial = simrank_with(&g, cfg, Parallelism::serial());
-        let serial_pp = simrank_pp_with(&g, cfg, Parallelism::serial());
-        for workers in [2, 8] {
-            let p = Parallelism::new(workers);
-            assert_eq!(simrank_with(&g, cfg, p), serial, "{workers} workers");
-            assert_eq!(simrank_pp_with(&g, cfg, p), serial_pp, "{workers} workers (pp)");
-        }
     }
 }

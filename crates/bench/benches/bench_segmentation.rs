@@ -6,7 +6,7 @@
 use algos::jaccard::{jaccard_matrix_of_sets, jaccard_matrix_of_sets_with, MinHasher};
 use algos::louvain::{hierarchical_louvain, louvain, HierarchicalConfig};
 use algos::roles::{directional_neighbor_sets, infer_roles, SegmentationMethod};
-use algos::simrank::{simrank, simrank_with, SimRankConfig};
+use algos::simrank::{simrank, SimRankConfig};
 use algos::wgraph::WeightedGraph;
 use algos::Parallelism;
 use benchkit::{collapsed_ip_graph, simulate};
@@ -35,13 +35,13 @@ fn bench_similarity(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel variants of the similarity kernels, same inputs — the
-/// speedup story satellite to the `commgraph-algos::par` scheduler.
+/// Serial vs parallel variants of the tile-parallel similarity kernels
+/// (exact Jaccard, MinHash), same inputs.
 fn bench_similarity_parallel(c: &mut Criterion) {
     let run = simulate(ClusterPreset::K8sPaas, 0.3, 5);
     let g = collapsed_ip_graph(&run);
     let sets = directional_neighbor_sets(&g);
-    let structure = WeightedGraph::from_comm_graph(&g, |_| 1.0);
+    let mh = MinHasher::new(128, 7);
 
     let mut group = c.benchmark_group("similarity_parallel");
     group.sample_size(20);
@@ -49,8 +49,8 @@ fn bench_similarity_parallel(c: &mut Criterion) {
         group.bench_function(format!("jaccard_exact/{label}"), |b| {
             b.iter(|| black_box(jaccard_matrix_of_sets_with(black_box(&sets), par)))
         });
-        group.bench_function(format!("simrank_5_iters/{label}"), |b| {
-            b.iter(|| black_box(simrank_with(black_box(&structure), SimRankConfig::default(), par)))
+        group.bench_function(format!("jaccard_minhash_128/{label}"), |b| {
+            b.iter(|| black_box(mh.similarity_matrix_of_sets_with(black_box(&sets), par)))
         });
     }
     group.finish();

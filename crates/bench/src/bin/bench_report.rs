@@ -8,11 +8,12 @@
 //!
 //! Sections:
 //!
-//! 1. **Kernels** — each ported kernel (exact Jaccard, MinHash, SimRank,
-//!    flat and hierarchical Louvain, the Jacobi eigensolver, the PCA
-//!    sweep) timed once under `Parallelism::serial()` and once under a
-//!    multi-worker knob on fixed-seed inputs:
-//!    `{n, serial_ms, parallel_ms, speedup}`.
+//! 1. **Kernels** — each analysis kernel timed on fixed-seed inputs. The
+//!    two tile-parallel kernels (exact Jaccard, MinHash) run once under
+//!    `Parallelism::serial()` and once under a multi-worker knob:
+//!    `{n, serial_ms, parallel_ms, speedup}`. The single-threaded rest
+//!    (SimRank, flat and hierarchical Louvain, the Jacobi eigensolver,
+//!    the PCA sweep) report `{n, serial_ms}`.
 //! 2. **Stages** — a simulated cluster is pushed through the instrumented
 //!    pipeline (`StreamEngine` → `Pipeline` → `Workbench`) with a live
 //!    `obs::Registry` and `obs::Tracer` (every stage nests under a
@@ -54,13 +55,13 @@
 //! stage run), `--minutes 30` (simulated span for the stage run).
 
 use algos::jaccard::{jaccard_matrix_of_sets_with, MinHasher};
-use algos::louvain::{hierarchical_louvain_with, louvain_with, HierarchicalConfig};
-use algos::simrank::{simrank_with, SimRankConfig};
+use algos::louvain::{hierarchical_louvain, louvain, HierarchicalConfig};
+use algos::simrank::{simrank, SimRankConfig};
 use algos::wgraph::WeightedGraph;
 use algos::Parallelism;
 use analytics::engine::{EngineConfig, StreamEngine};
 use analytics::sharded::{ShardedConfig, ShardedEngine};
-use benchkit::{arg, arg_f64, arg_u64, simulate};
+use benchkit::{arg_f64, arg_parsed, arg_u64, simulate};
 use cloudsim::attack::{AttackKind, AttackScenario};
 use cloudsim::{ClusterPreset, SimConfig, Simulator};
 use commgraph::monitor::{MonitorConfig, MonitorEvent, SecurityMonitor};
@@ -69,8 +70,8 @@ use commgraph::Workbench;
 use commgraph_graph::builder::WindowedBuilder;
 use commgraph_graph::{Facet, GraphBuilder};
 use flowlog::record::{ConnSummary, FlowKey};
-use linalg::eigen::eigen_symmetric_with;
-use linalg::pca::pca_sweep_with;
+use linalg::eigen::eigen_symmetric;
+use linalg::pca::pca_sweep;
 use linalg::Matrix;
 use serde_json::json;
 use std::hint::black_box;
@@ -1096,9 +1097,31 @@ fn faultsim_report() -> serde_json::Value {
     })
 }
 
+/// One kernel-table row; `parallel_ms` only for the tile-parallel kernels.
+fn kernel_row(
+    report: &mut serde_json::Map,
+    name: &str,
+    dim: usize,
+    serial_ms: f64,
+    parallel_ms: Option<f64>,
+) {
+    let row = match parallel_ms {
+        Some(parallel_ms) => {
+            let speedup = serial_ms / parallel_ms;
+            println!("{name:<28} n={dim:<5} serial {serial_ms:9.2} ms  parallel {parallel_ms:9.2} ms  speedup {speedup:5.2}x");
+            json!({"n": dim, "serial_ms": serial_ms, "parallel_ms": parallel_ms, "speedup": speedup})
+        }
+        None => {
+            println!("{name:<28} n={dim:<5} serial {serial_ms:9.2} ms");
+            json!({"n": dim, "serial_ms": serial_ms})
+        }
+    };
+    report.insert(name.to_string(), row);
+}
+
 fn main() {
-    let n: usize = arg("n", "500").parse().unwrap_or(500);
-    let workers: usize = arg("workers", "4").parse().unwrap_or(4);
+    let n: usize = arg_parsed("n", 500);
+    let workers: usize = arg_parsed("workers", 4);
     let reps = arg_u64("reps", 3);
     let scale = arg_f64("scale", 0.3);
     let minutes = arg_u64("minutes", 30);
@@ -1107,29 +1130,22 @@ fn main() {
     let parallel = Parallelism::new(workers);
 
     let mut report = serde_json::Map::new();
-    let mut add = |name: &str, dim: usize, serial_ms: f64, parallel_ms: f64| {
-        let speedup = serial_ms / parallel_ms;
-        println!("{name:<28} n={dim:<5} serial {serial_ms:9.2} ms  parallel {parallel_ms:9.2} ms  speedup {speedup:5.2}x");
-        report.insert(
-            name.to_string(),
-            json!({"n": dim, "serial_ms": serial_ms, "parallel_ms": parallel_ms, "speedup": speedup}),
-        );
-    };
-
     let sets = fixture_sets(n);
-    add(
+    kernel_row(
+        &mut report,
         "jaccard_matrix_of_sets",
         n,
         time_ms(reps, || jaccard_matrix_of_sets_with(&sets, serial)),
-        time_ms(reps, || jaccard_matrix_of_sets_with(&sets, parallel)),
+        Some(time_ms(reps, || jaccard_matrix_of_sets_with(&sets, parallel))),
     );
 
     let mh = MinHasher::new(128, 7);
-    add(
+    kernel_row(
+        &mut report,
         "minhash_similarity",
         n,
         time_ms(reps, || mh.similarity_matrix_of_sets_with(&sets, serial)),
-        time_ms(reps, || mh.similarity_matrix_of_sets_with(&sets, parallel)),
+        Some(time_ms(reps, || mh.similarity_matrix_of_sets_with(&sets, parallel))),
     );
 
     // SimRank is O(n³) per iteration — a smaller graph keeps the run short.
@@ -1140,48 +1156,41 @@ fn main() {
         .collect();
     let g = WeightedGraph::from_edges(sr_n, &edges);
     let cfg = SimRankConfig::default();
-    add(
-        "simrank",
-        sr_n,
-        time_ms(reps, || simrank_with(&g, cfg, serial)),
-        time_ms(reps, || simrank_with(&g, cfg, parallel)),
-    );
+    kernel_row(&mut report, "simrank", sr_n, time_ms(reps, || simrank(&g, cfg)), None);
 
     // Louvain clusters a larger graph than SimRank scores — the sweep is
     // near-linear in edges — so scale the fixture up for a stable timing.
     let cg = fixture_community_graph(n * 4);
     let cg_n = cg.node_count();
-    add(
-        "louvain",
-        cg_n,
-        time_ms(reps, || louvain_with(&cg, 1.0, serial)),
-        time_ms(reps, || louvain_with(&cg, 1.0, parallel)),
-    );
+    kernel_row(&mut report, "louvain", cg_n, time_ms(reps, || louvain(&cg)), None);
     let hier = HierarchicalConfig::default();
-    add(
+    kernel_row(
+        &mut report,
         "hierarchical_louvain",
         cg_n,
-        time_ms(reps, || hierarchical_louvain_with(&cg, hier, serial)),
-        time_ms(reps, || hierarchical_louvain_with(&cg, hier, parallel)),
+        time_ms(reps, || hierarchical_louvain(&cg, hier)),
+        None,
     );
 
     let m = fixture_symmetric(n);
-    add(
+    kernel_row(
+        &mut report,
         "eigen_symmetric",
         n,
-        time_ms(reps, || eigen_symmetric_with(&m, 1e-8, serial).expect("symmetric")),
-        time_ms(reps, || eigen_symmetric_with(&m, 1e-8, parallel).expect("symmetric")),
+        time_ms(reps, || eigen_symmetric(&m, 1e-8).expect("symmetric")),
+        None,
     );
 
     // PCA at a smaller dimension: the sweep re-runs the eigensolve.
     let pca_n = (n / 2).max(32);
     let mp = fixture_symmetric(pca_n);
     let ks = [1, 4, 16, 64];
-    add(
+    kernel_row(
+        &mut report,
         "pca_sweep",
         pca_n,
-        time_ms(reps, || pca_sweep_with(&mp, &ks, serial).expect("square")),
-        time_ms(reps, || pca_sweep_with(&mp, &ks, parallel).expect("square")),
+        time_ms(reps, || pca_sweep(&mp, &ks).expect("square")),
+        None,
     );
 
     let incremental = incremental_report();

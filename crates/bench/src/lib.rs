@@ -13,6 +13,7 @@ use flowlog::record::ConnSummary;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Experiment-binary error handling: print a diagnostic and exit instead
 /// of unwinding — these helpers back CLI tools, not library callers.
@@ -145,14 +146,32 @@ fn env_or(key: &str, default: &str) -> String {
     std::env::var(key).unwrap_or_else(|_| default.to_string())
 }
 
-/// Parse an f64 CLI argument.
-pub fn arg_f64(flag: &str, default: f64) -> f64 {
-    arg(flag, &default.to_string()).parse().unwrap_or(default)
+/// Parse the raw value of `--flag`; the error names the flag and the value.
+fn parse_flag<T: FromStr>(flag: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse().map_err(|e| format!("--{flag} {raw:?}: {e}"))
 }
 
-/// Parse a u64 CLI argument.
+/// Parse a CLI argument (see [`arg`]). An unparsable value is an error,
+/// not a silent fallback to `default`: it prints a diagnostic naming the
+/// flag and the value, then exits non-zero.
+pub fn arg_parsed<T: FromStr + ToString>(flag: &str, default: T) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    or_die(parse_flag(flag, &arg(flag, &default.to_string())), "invalid flag value")
+}
+
+/// Parse an f64 CLI argument (see [`arg_parsed`]).
+pub fn arg_f64(flag: &str, default: f64) -> f64 {
+    arg_parsed(flag, default)
+}
+
+/// Parse a u64 CLI argument (see [`arg_parsed`]).
 pub fn arg_u64(flag: &str, default: u64) -> u64 {
-    arg(flag, &default.to_string()).parse().unwrap_or(default)
+    arg_parsed(flag, default)
 }
 
 /// Format a count with thousands separators for table output.
@@ -176,6 +195,16 @@ mod tests {
         assert!(!run.records.is_empty());
         assert!(!run.monitored.is_empty());
         assert!(run.monitored.iter().all(|ip| ip.octets()[0] == 10));
+    }
+
+    #[test]
+    fn parse_flag_rejects_garbage_and_names_it() {
+        assert_eq!(parse_flag::<u64>("n", "500"), Ok(500));
+        assert_eq!(parse_flag::<f64>("scale", "0.25"), Ok(0.25));
+        let err = parse_flag::<usize>("n", "5OO").unwrap_err();
+        assert!(err.contains("--n") && err.contains("5OO"), "{err}");
+        let err = parse_flag::<f64>("scale", "").unwrap_err();
+        assert!(err.contains("--scale"), "{err}");
     }
 
     #[test]

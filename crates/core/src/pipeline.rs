@@ -30,9 +30,9 @@ pub struct PipelineConfig {
     pub window_len: u64,
     /// Monitored inventory for vantage dedup; `None` disables dedup.
     pub monitored: Option<HashSet<Ipv4Addr>>,
-    /// Worker count forwarded to downstream per-window analyses (role
-    /// inference — similarity scoring and Louvain clustering both — and
-    /// PCA). Ingest itself is serial — it is I/O-bound.
+    /// Worker count forwarded to downstream per-window analyses: the
+    /// Jaccard/MinHash similarity scoring of role inference, the only
+    /// parallel stage. Ingest itself is serial — it is I/O-bound.
     pub parallelism: Parallelism,
     /// Observability handle; every `ingest` call reports a span on the
     /// shared `commgraph_stage_seconds{stage="ingest"}` family. The default
@@ -368,7 +368,8 @@ impl WindowAnalyzer {
         )
     }
 
-    /// Override the worker count (builder style).
+    /// Override the worker count of the similarity scoring stage (builder
+    /// style).
     pub fn with_parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = p;
         self

@@ -10,7 +10,7 @@ use algos::stats::{byte_ccdf, CcdfPoint};
 use commgraph_graph::collapse::collapse;
 use commgraph_graph::{CommGraph, Facet, GraphBuilder};
 use flowlog::record::ConnSummary;
-use linalg::pca::{pca_sweep_with, PcaSummary};
+use linalg::pca::{pca_sweep, PcaSummary};
 use linalg::{Matrix, Parallelism};
 use obs::Obs;
 use segment::blast::{fleet_blast_report, FleetBlastReport};
@@ -66,11 +66,10 @@ impl Workbench {
         self
     }
 
-    /// Override the worker count used by the similarity kernels, the
-    /// Louvain clustering stage, and PCA (builder style).
-    /// `Parallelism::serial()` forces the exact legacy serial path; the
-    /// default uses every available core. Similarity scores and cluster
-    /// labels are bit-for-bit identical at any worker count.
+    /// Override the worker count used by the Jaccard/MinHash similarity
+    /// kernels (builder style); the default uses every available core.
+    /// Clustering and PCA are single-threaded. Every result is bit-for-bit
+    /// identical at any worker count.
     pub fn with_parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = p;
         self
@@ -201,7 +200,7 @@ impl Workbench {
     pub fn pca_summary(&mut self, ks: &[usize]) -> linalg::Result<PcaSummary> {
         let m = self.byte_matrix()?;
         let _span = self.obs.stage_span("pca");
-        pca_sweep_with(&m, ks, self.parallelism)
+        pca_sweep(&m, ks)
     }
 
     /// Dense symmetric byte matrix of the collapsed IP graph.
@@ -297,5 +296,20 @@ mod tests {
         let summary = wb.pca_summary(&[1, 4, 16]).unwrap();
         assert_eq!(summary.errors.len(), 3);
         assert!(summary.errors[2].err <= summary.errors[0].err);
+    }
+
+    /// Same seed → same bytes on every host: the PCA summary must not
+    /// depend on the worker count the session was configured with.
+    #[test]
+    fn pca_summary_is_bit_identical_across_worker_counts() {
+        let ks = [1, 4, 16, 64];
+        let serial = session().with_parallelism(Parallelism::serial()).pca_summary(&ks).unwrap();
+        let two = session().with_parallelism(Parallelism::new(2)).pca_summary(&ks).unwrap();
+        assert_eq!(serial.n, two.n);
+        assert_eq!(serial.k_for_5_percent, two.k_for_5_percent);
+        let bits = |s: &PcaSummary| -> Vec<(usize, u64)> {
+            s.errors.iter().map(|e| (e.k, e.err.to_bits())).collect()
+        };
+        assert_eq!(bits(&serial), bits(&two));
     }
 }

@@ -17,8 +17,9 @@
 //!   with whitening + deflationary fixed-point iteration.
 //! * [`quantize`] — the log-scale normalization behind the Figure 4/5
 //!   heatmaps.
-//! * [`par`] — the `std`-only data-parallel scheduler (scoped-thread tile /
-//!   task work queues) and the [`Parallelism`] knob the dense kernels share.
+//! * [`par`] — the `std`-only data-parallel scheduler (a scoped-thread task
+//!   work queue) and the [`Parallelism`] knob of the Jaccard and MinHash
+//!   similarity kernels. Every kernel in this crate is single-threaded.
 //! * [`sym`] — [`SymMatrix`], a flat packed-upper-triangular symmetric
 //!   matrix whose contiguous rows give the scheduler disjoint `&mut` tiles.
 
@@ -34,14 +35,10 @@ pub mod pca;
 pub mod quantize;
 pub mod sym;
 
-pub use eigen::{
-    eigen_symmetric, eigen_symmetric_warm_with, eigen_symmetric_with, EigenDecomposition,
-};
+pub use eigen::{eigen_symmetric, EigenDecomposition};
 pub use error::{Error, Result};
 pub use ica::{fast_ica, IcaDecomposition};
 pub use matrix::Matrix;
 pub use par::Parallelism;
-pub use pca::{
-    pca_sweep, pca_sweep_warm_with, pca_sweep_with, recon_err, sparse_transform, PcaSummary,
-};
+pub use pca::{pca_sweep, recon_err, sparse_transform, PcaSummary};
 pub use sym::SymMatrix;

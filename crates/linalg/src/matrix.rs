@@ -1,7 +1,6 @@
 //! Dense row-major matrix.
 
 use crate::error::{Error, Result};
-use crate::par::{self, Parallelism};
 use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
@@ -58,12 +57,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable flat row-major data; the parallel kernels split it into
-    /// disjoint row tiles.
-    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// A single row as a slice.
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
@@ -82,14 +75,6 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_with(rhs, Parallelism::serial())
-    }
-
-    /// Matrix product `self * rhs`, output rows partitioned over workers.
-    ///
-    /// Every output row is computed with the same ikj loop as the serial
-    /// product, so the result is bit-for-bit identical at any worker count.
-    pub fn matmul_with(&self, rhs: &Matrix, parallelism: Parallelism) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(Error::ShapeMismatch {
                 op: "matmul",
@@ -98,32 +83,21 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        if self.rows == 0 || rhs.cols == 0 {
+        if rhs.cols == 0 {
             return Ok(out);
         }
-        let cols = rhs.cols;
-        let band = par::tile_size(self.rows, parallelism);
-        let tasks: Vec<(usize, &mut [f64])> = out
-            .data
-            .chunks_mut(cols * band)
-            .enumerate()
-            .map(|(t, chunk)| (t * band, chunk))
-            .collect();
-        par::for_each_task(parallelism, tasks, |(first_row, chunk)| {
-            // ikj loop order per row: streams over rhs rows, cache-friendly.
-            for (r, orow) in chunk.chunks_mut(cols).enumerate() {
-                let i = first_row + r;
-                for k in 0..self.cols {
-                    let a = self[(i, k)];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for (o, &b) in orow.iter_mut().zip(rhs.row(k)) {
-                        *o += a * b;
-                    }
+        // ikj loop order per row: streams over rhs rows, cache-friendly.
+        for (i, orow) in out.data.chunks_mut(rhs.cols).enumerate() {
+            for k in 0..self.cols {
+                let a = self[(i, k)];
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in orow.iter_mut().zip(rhs.row(k)) {
+                    *o += a * b;
                 }
             }
-        });
+        }
         Ok(out)
     }
 
@@ -247,23 +221,6 @@ mod tests {
         let asym = Matrix::from_rows(vec![vec![1.0, 2.0], vec![2.5, 5.0]]);
         assert!(matches!(asym.require_symmetric(1e-12), Err(Error::NotSymmetric { .. })));
         assert!(Matrix::zeros(2, 3).max_asymmetry().is_err());
-    }
-
-    #[test]
-    fn matmul_with_is_worker_count_invariant() {
-        let n = 17;
-        let mut state = 99u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 40) as f64 / 16_777_216.0
-        };
-        let a = Matrix::from_rows((0..n).map(|_| (0..n).map(|_| next()).collect()).collect());
-        let b = Matrix::from_rows((0..n).map(|_| (0..n).map(|_| next()).collect()).collect());
-        let serial = a.matmul(&b).unwrap();
-        for workers in [2, 3, 8] {
-            let p = a.matmul_with(&b, Parallelism::new(workers)).unwrap();
-            assert_eq!(p, serial, "bitwise equality at {workers} workers");
-        }
     }
 
     #[test]

@@ -6,12 +6,9 @@
 //! `ReconErr(M, M_25) < 0.05` on a > 500-node matrix — because redundancy
 //! (many replicas, same role) makes the matrix low-rank.
 
-use crate::eigen::{
-    eigen_symmetric, eigen_symmetric_warm_with, eigen_symmetric_with, EigenDecomposition,
-};
+use crate::eigen::{eigen_symmetric, EigenDecomposition};
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
-use crate::par::{self, Parallelism};
 use serde::Serialize;
 
 /// Reconstruction error as defined in the paper: the normalized absolute sum
@@ -31,12 +28,6 @@ pub fn recon_err(m: &Matrix, mk: &Matrix) -> Result<f64> {
 pub fn sparse_transform(m: &Matrix, k: usize) -> Result<Matrix> {
     let d = eigen_symmetric(m, 1e-10)?;
     d.reconstruct(k)
-}
-
-/// Compute `M_k` with the parallel eigensolver and rank-k reconstruction.
-pub fn sparse_transform_with(m: &Matrix, k: usize, parallelism: Parallelism) -> Result<Matrix> {
-    let d = eigen_symmetric_with(m, 1e-10, parallelism)?;
-    d.reconstruct_with(k, parallelism)
 }
 
 /// Reconstruction error at one value of k.
@@ -66,63 +57,10 @@ pub struct PcaSummary {
 /// adjacency matrices have large negative eigenvalues (bipartite tier
 /// structure), and adding such an eigenpair can transiently raise the
 /// absolute-sum error even as the Frobenius error falls.
-pub fn recon_err_profile(d: &EigenDecomposition, m: &Matrix) -> Result<Vec<f64>> {
-    let n = m.rows();
-    if d.values.len() != n || m.cols() != n {
-        return Err(Error::InvalidArg(format!(
-            "decomposition of size {} does not match matrix {}x{}",
-            d.values.len(),
-            m.rows(),
-            m.cols()
-        )));
-    }
-    let denom = m.abs_sum();
-    let mut mk = Matrix::zeros(n, n);
-    let mut profile = Vec::with_capacity(n + 1);
-    let err_of = |mk: &Matrix| -> f64 {
-        // Both operands are n×n by construction; a mismatch cannot reconstruct.
-        let diff = m.sub(mk).map_or(f64::INFINITY, |d| d.abs_sum());
-        if denom == 0.0 {
-            if diff == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            diff / denom
-        }
-    };
-    profile.push(err_of(&mk));
-    for c in 0..n {
-        let lambda = d.values[c];
-        for i in 0..n {
-            let vi = d.vectors[(i, c)] * lambda;
-            if vi == 0.0 {
-                continue;
-            }
-            for j in 0..n {
-                mk[(i, j)] += vi * d.vectors[(j, c)];
-            }
-        }
-        profile.push(err_of(&mk));
-    }
-    Ok(profile)
-}
-
-/// Parallel incremental reconstruction-error profile.
 ///
-/// Same contract as [`recon_err_profile`], with the rank-1 updates and the
-/// error reduction partitioned over row bands. Each row's `Σ|M − M_k|`
-/// partial is computed in the serial column order and the partials are
-/// folded in ascending row order, so the profile is bit-for-bit identical at
-/// any worker count (including 1). Note the fixed row-wise summation tree
-/// differs from [`recon_err_profile`]'s single running sum, so the two
-/// functions may differ in the last ulp.
-pub fn recon_err_profile_with(
-    d: &EigenDecomposition,
-    m: &Matrix,
-    parallelism: Parallelism,
-) -> Result<Vec<f64>> {
+/// `Σ|M − M_k|` is summed per row in column order, then over rows in
+/// ascending order; that fixed summation tree is part of the output bits.
+pub fn recon_err_profile(d: &EigenDecomposition, m: &Matrix) -> Result<Vec<f64>> {
     let n = m.rows();
     if d.values.len() != n || m.cols() != n {
         return Err(Error::InvalidArg(format!(
@@ -149,28 +87,17 @@ pub fn recon_err_profile_with(
     let mut row_err: Vec<f64> = (0..n).map(|i| m.row(i).iter().map(|v| v.abs()).sum()).collect();
     let mut profile = Vec::with_capacity(n + 1);
     profile.push(err_of(&row_err));
-    let band = par::tile_size(n, parallelism);
     for c in 0..n {
         let lambda = d.values[c];
-        let tasks: Vec<(usize, &mut [f64], &mut [f64])> = mk
-            .data_mut()
-            .chunks_mut(n * band)
-            .zip(row_err.chunks_mut(band))
-            .enumerate()
-            .map(|(t, (mk_chunk, err_chunk))| (t * band, mk_chunk, err_chunk))
-            .collect();
-        par::for_each_task(parallelism, tasks, |(first_row, mk_chunk, err_chunk)| {
-            for (r, mk_row) in mk_chunk.chunks_mut(n).enumerate() {
-                let i = first_row + r;
-                let vi = d.vectors[(i, c)] * lambda;
-                if vi != 0.0 {
-                    for (j, slot) in mk_row.iter_mut().enumerate() {
-                        *slot += vi * d.vectors[(j, c)];
-                    }
+        for (i, err) in row_err.iter_mut().enumerate() {
+            let vi = d.vectors[(i, c)] * lambda;
+            if vi != 0.0 {
+                for j in 0..n {
+                    mk[(i, j)] += vi * d.vectors[(j, c)];
                 }
-                err_chunk[r] = m.row(i).iter().zip(mk_row.iter()).map(|(a, b)| (a - b).abs()).sum();
             }
-        });
+            *err = m.row(i).iter().zip(mk.row(i)).map(|(a, b)| (a - b).abs()).sum();
+        }
         profile.push(err_of(&row_err));
     }
     Ok(profile)
@@ -193,16 +120,6 @@ pub fn recon_err_profile_with(
 /// assert!(sweep.errors[0].err < 1e-9);
 /// ```
 pub fn pca_sweep(m: &Matrix, ks: &[usize]) -> Result<PcaSummary> {
-    pca_sweep_with(m, ks, Parallelism::serial())
-}
-
-/// [`pca_sweep`] with the decomposition and error profile parallelized.
-///
-/// With a serial knob this uses the legacy eigensolver; the incremental
-/// profile always uses the fixed row-banded summation of
-/// [`recon_err_profile_with`], so sweeps agree bit-for-bit across worker
-/// counts whenever the decomposition does.
-pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Result<PcaSummary> {
     if m.rows() != m.cols() {
         return Err(Error::InvalidArg(format!(
             "PCA sweep needs a square matrix, got {}x{}",
@@ -210,13 +127,9 @@ pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Res
             m.cols()
         )));
     }
-    let d = eigen_symmetric_with(m, 1e-10, parallelism)?;
-    let profile = recon_err_profile_with(&d, m, parallelism)?;
-    Ok(summarize(m.rows(), &profile, ks))
-}
-
-/// Reduce an incremental error profile to the sweep summary for `ks`.
-fn summarize(n: usize, profile: &[f64], ks: &[usize]) -> PcaSummary {
+    let n = m.rows();
+    let d = eigen_symmetric(m, 1e-10)?;
+    let profile = recon_err_profile(&d, m)?;
     let mut errors: Vec<KError> = ks
         .iter()
         .map(|&k| {
@@ -227,41 +140,7 @@ fn summarize(n: usize, profile: &[f64], ks: &[usize]) -> PcaSummary {
     errors.sort_by_key(|e| e.k);
     errors.dedup_by_key(|e| e.k);
     let k_for_5_percent = profile.iter().position(|&e| e < 0.05);
-    PcaSummary { n, errors, k_for_5_percent }
-}
-
-/// [`pca_sweep_with`], warm-starting the eigensolver from a previous
-/// window's decomposition and returning this window's decomposition for the
-/// next warm start.
-///
-/// With `prev = None`, or a `prev` whose dimension no longer matches `m`
-/// (the matrix grew or shrank between windows), this silently falls back to
-/// the cold solver — staleness costs sweeps, never correctness. The summary
-/// carries the same tolerance-agreement contract as the parallel solver:
-/// errors match a cold [`pca_sweep_with`] to the convergence tolerance, not
-/// bit-for-bit.
-pub fn pca_sweep_warm_with(
-    m: &Matrix,
-    ks: &[usize],
-    prev: Option<&EigenDecomposition>,
-    parallelism: Parallelism,
-) -> Result<(PcaSummary, EigenDecomposition)> {
-    if m.rows() != m.cols() {
-        return Err(Error::InvalidArg(format!(
-            "PCA sweep needs a square matrix, got {}x{}",
-            m.rows(),
-            m.cols()
-        )));
-    }
-    let n = m.rows();
-    let d = match prev {
-        Some(prev) if prev.values.len() == n => {
-            eigen_symmetric_warm_with(m, 1e-10, prev, parallelism)?
-        }
-        _ => eigen_symmetric_with(m, 1e-10, parallelism)?,
-    };
-    let profile = recon_err_profile_with(&d, m, parallelism)?;
-    Ok((summarize(n, &profile, ks), d))
+    Ok(PcaSummary { n, errors, k_for_5_percent })
 }
 
 #[cfg(test)]
@@ -364,102 +243,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_profile_is_worker_count_invariant() {
+    fn profile_matches_direct_reconstruction() {
         let m = two_block(6);
         let d = eigen_symmetric(&m, 1e-10).unwrap();
-        let serial = recon_err_profile_with(&d, &m, Parallelism::serial()).unwrap();
-        for workers in [2, 3, 8] {
-            let p = recon_err_profile_with(&d, &m, Parallelism::new(workers)).unwrap();
-            assert_eq!(p, serial, "bitwise profile equality at {workers} workers");
+        let profile = recon_err_profile(&d, &m).unwrap();
+        assert_eq!(profile.len(), m.rows() + 1);
+        for (k, &p) in profile.iter().enumerate() {
+            let direct = recon_err(&m, &d.reconstruct(k).unwrap()).unwrap();
+            assert!((p - direct).abs() < 1e-12, "k={k}: profile {p} vs direct {direct}");
         }
-        // And it tracks the legacy running-sum profile to float precision.
-        let legacy = recon_err_profile(&d, &m).unwrap();
-        for (a, b) in legacy.iter().zip(&serial) {
-            assert!((a - b).abs() < 1e-12, "legacy {a} vs banded {b}");
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_sweep() {
-        // Random symmetric matrix: distinct eigenvalues almost surely, so
-        // serial and parallel Jacobi agree on the eigenbasis (a degenerate
-        // spectrum like two_block's would make partial reconstructions
-        // legitimately basis-dependent).
-        let n = 12;
-        let mut m = Matrix::zeros(n, n);
-        let mut state = 31u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 40) as f64 / 16_777_216.0
-        };
-        for i in 0..n {
-            for j in i..n {
-                let v = next();
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        let serial = pca_sweep(&m, &[1, 3, 12]).unwrap();
-        let par = pca_sweep_with(&m, &[1, 3, 12], Parallelism::new(4)).unwrap();
-        assert_eq!(serial.n, par.n);
-        assert_eq!(serial.k_for_5_percent, par.k_for_5_percent);
-        // The parallel Jacobi trajectory differs, so errors agree to the
-        // convergence tolerance, not bitwise.
-        for (a, b) in serial.errors.iter().zip(&par.errors) {
-            assert_eq!(a.k, b.k);
-            assert!((a.err - b.err).abs() < 1e-6, "k={}: {} vs {}", a.k, a.err, b.err);
-        }
-        let mk = sparse_transform_with(&m, 12, Parallelism::new(2)).unwrap();
-        assert!(recon_err(&m, &mk).unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn warm_sweep_matches_cold_sweep_within_tolerance() {
-        // Window 1 decomposed cold; window 2 = window 1 + small churn,
-        // swept warm from window 1's basis.
-        let n = 12;
-        let mut m1 = Matrix::zeros(n, n);
-        let mut state = 97u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 40) as f64 / 16_777_216.0
-        };
-        for i in 0..n {
-            for j in i..n {
-                let v = next();
-                m1[(i, j)] = v;
-                m1[(j, i)] = v;
-            }
-        }
-        let p = Parallelism::new(2);
-        let (s1, d1) = pca_sweep_warm_with(&m1, &[1, 3, 12], None, p).unwrap();
-        let cold1 = pca_sweep_with(&m1, &[1, 3, 12], p).unwrap();
-        for (a, b) in s1.errors.iter().zip(&cold1.errors) {
-            assert!((a.err - b.err).abs() < 1e-6, "no-prev warm = cold, k={}", a.k);
-        }
-        let mut m2 = m1.clone();
-        m2[(0, 5)] += 0.03;
-        m2[(5, 0)] = m2[(0, 5)];
-        let (s2, d2) = pca_sweep_warm_with(&m2, &[1, 3, 12], Some(&d1), p).unwrap();
-        let cold2 = pca_sweep_with(&m2, &[1, 3, 12], p).unwrap();
-        assert_eq!(s2.n, cold2.n);
-        for (a, b) in s2.errors.iter().zip(&cold2.errors) {
-            assert_eq!(a.k, b.k);
-            assert!((a.err - b.err).abs() < 1e-6, "k={}: warm {} vs cold {}", a.k, a.err, b.err);
-        }
-        assert_eq!(d2.values.len(), n, "returned decomposition feeds the next window");
-    }
-
-    #[test]
-    fn warm_sweep_falls_back_on_dimension_change() {
-        let small = two_block(2);
-        let (_, d_small) = pca_sweep_warm_with(&small, &[4], None, Parallelism::serial()).unwrap();
-        let big = two_block(4);
-        // Stale 4x4 basis against an 8x8 window: silently cold-started.
-        let (s, d) =
-            pca_sweep_warm_with(&big, &[8], Some(&d_small), Parallelism::serial()).unwrap();
-        assert_eq!(d.values.len(), 8);
-        assert!(s.errors[0].err < 1e-9);
     }
 
     #[test]

@@ -101,16 +101,16 @@ impl SymMatrix {
     }
 
     /// Update every upper-triangular entry in place as
-    /// `(i, j) ← f(i, j, current)`, distributing rows over `par` workers.
-    pub fn update_upper<F>(&mut self, parallelism: Parallelism, f: F)
+    /// `(i, j) ← f(i, j, current)`.
+    pub fn update_upper<F>(&mut self, f: F)
     where
-        F: Fn(usize, usize, f64) -> f64 + Sync,
+        F: Fn(usize, usize, f64) -> f64,
     {
-        par::for_each_task(parallelism, self.row_tiles_mut(), |(i, row)| {
+        for (i, row) in self.row_tiles_mut() {
             for (k, slot) in row.iter_mut().enumerate() {
                 *slot = f(i, i + k, *slot);
             }
-        });
+        }
     }
 
     /// Fill every upper-triangular entry, carrying entries over from a
