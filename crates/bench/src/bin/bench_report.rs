@@ -329,8 +329,8 @@ fn serve_report(
         .collect();
     let trace_body = http_get(addr, "/trace");
     let trace_ok = trace_body.starts_with("{\"displayTimeUnit\"");
-    let query_body = http_get(addr, "/query?name=commgraph_tsdb_samples_total&field=value");
-    let query_ok = query_body.starts_with("{\"series\":[{") && query_body.contains("\"points\":[[");
+    let query_body = http_get(addr, "/query?expr=commgraph_tsdb_samples_total");
+    let query_ok = query_body.starts_with("{\"expr\":\"") && query_body.contains("\"points\":[[");
     let range_path = "/query_range?expr=rate(commgraph_tsdb_samples_total%5B8%5D)&step=1";
     let range_body = http_get(addr, range_path);
     let query_range_ok = range_body.starts_with("{\"expr\":\"")
@@ -451,12 +451,7 @@ fn query_report(scraper: &obs::Scraper, rule_names: &[&str]) -> serde_json::Valu
     let ticks = last - from + 1;
     let per_tick_ms = eval_s / ticks as f64 * 1e3;
     let within_budget = per_tick_ms < 1.0;
-    let rule_series: usize = rule_names
-        .iter()
-        .map(|name| {
-            store.query(&obs::Query { name: Some(name.to_string()), ..Default::default() }).len()
-        })
-        .sum();
+    let rule_series: usize = rule_names.iter().map(|name| store.series(name, u64::MAX).len()).sum();
     println!(
         "query engine                  {} exprs, parse {parse_us:7.1} µs/expr, per tick \
          {per_tick_ms:6.3} ms over {ticks} ticks (budget 1 ms, {}); {} rules -> {} series",
@@ -515,7 +510,13 @@ fn stage_report(workers: usize, scale: f64, minutes: u64) -> (serde_json::Value,
         .expect("rule expression parses"),
     ]);
     let alerts = Arc::new(obs::AlertEngine::new(o.clone()));
-    alerts.add_rules(obs::alert::default_pack(run.records.len() as f64));
+    alerts.add_rules(
+        obs::alert::query_pack(run.records.len() as f64).expect("pack expressions parse"),
+    );
+    // The freshness-SLO burn recording rules back the serve section's `/slo`.
+    scraper.add_recording_rules(
+        obs::alert::slo_rules(run.records.len() as f64).expect("slo expressions parse"),
+    );
 
     // The per-run root span: every engine/pipeline/workbench stage below
     // nests under it on the timeline.

@@ -9,7 +9,7 @@
 //! Full scale + 60 minutes reproduces the paper's setting; the KQuery row
 //! streams ~2M records/min, so give it a few minutes of wall clock.
 
-use benchkit::{arg, arg_f64, arg_u64, fmt_count, simulate_streaming, write_artifact};
+use benchkit::{arg_f64, arg_parsed, arg_u64, fmt_count, simulate_streaming, write_artifact};
 use cloudsim::ClusterPreset;
 use commgraph_graph::cardinality::GraphCardinality;
 use commgraph_graph::collapse::{NicLocalSurvivors, PAPER_THRESHOLD};
@@ -30,7 +30,7 @@ struct Row {
 fn main() {
     let scale = arg_f64("scale", 1.0);
     let minutes = arg_u64("minutes", 60);
-    let skip_kquery = arg("skip-kquery", "false") == "true";
+    let skip_kquery = arg_parsed::<bool>("skip-kquery", false);
 
     let mut rows = Vec::new();
     let mut artifacts = Vec::new();

@@ -788,7 +788,6 @@ mod tests {
 
     #[test]
     fn window_rolls_drive_ticks_scrapes_and_alert_evaluation() {
-        use obs::alert::{Op, Selector};
         let registry = std::sync::Arc::new(obs::Registry::new());
         let o = Obs::new(registry.clone());
         let recs = churn_stream();
@@ -811,13 +810,11 @@ mod tests {
         let alerts = Arc::new(AlertEngine::new(o.clone()));
         // Total records never move between ticks once ingest is done, so
         // this threshold fires as soon as its hold elapses.
-        alerts.add_rule(obs::AlertRule::threshold(
-            "records_seen",
-            Selector::value("commgraph_pipeline_late_records_total"),
-            Op::Ge,
-            0.0,
-            1,
-        ));
+        alerts.add_rule(
+            obs::AlertRule::query("records_seen", "commgraph_pipeline_late_records_total >= 0")
+                .unwrap()
+                .with_for_ticks(1),
+        );
         let monitored: HashSet<Ipv4Addr> =
             recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
         let mut an = WindowAnalyzer::new(monitored, true)
@@ -844,10 +841,7 @@ mod tests {
         // The recording rule ran once per window tick, appending its
         // synthetic series at the same ticks as the scraped samples.
         assert_eq!(scraper.recording_rule_count(), 1);
-        let recorded = scraper.store().query(&obs::Query {
-            name: Some("pipeline:late_records:delta1".to_string()),
-            ..Default::default()
-        });
+        let recorded = scraper.store().series("pipeline:late_records:delta1", u64::MAX);
         assert_eq!(recorded.len(), 1, "one synthetic series");
         let ticks: Vec<u64> = recorded[0].points.iter().map(|p| p.0).collect();
         assert_eq!(ticks, vec![1, 2, 3], "one rule sample per analyzed window");

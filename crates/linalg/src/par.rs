@@ -34,26 +34,26 @@ use std::time::Instant;
 /// registry (noop until `obs::install_global`). Handles are looked up once
 /// per kernel invocation, never per tile.
 struct SchedObs {
-    /// `commgraph_par_tiles_total{shape}` — tiles/tasks scheduled.
+    /// `commgraph_par_tiles_total` — tiles/tasks scheduled.
     tiles: obs::Counter,
-    /// `commgraph_par_worker_busy_seconds{shape}` — one sample per worker
+    /// `commgraph_par_worker_busy_seconds` — one sample per worker
     /// per invocation; `sum / (workers × wall)` is the utilization.
     busy: obs::Histogram,
 }
 
 impl SchedObs {
-    fn resolve(shape: &'static str) -> SchedObs {
+    fn resolve() -> SchedObs {
         let o = obs::global();
         SchedObs {
             tiles: o.counter(
                 "commgraph_par_tiles_total",
                 "Tiles/tasks scheduled by the data-parallel work queues.",
-                &[("shape", shape)],
+                &[],
             ),
             busy: o.histogram(
                 "commgraph_par_worker_busy_seconds",
                 "Per-worker busy time of one scheduler invocation.",
-                &[("shape", shape)],
+                &[],
             ),
         }
     }
@@ -115,7 +115,7 @@ where
     T: Send,
     F: Fn(T) + Sync,
 {
-    let sched = SchedObs::resolve("task");
+    let sched = SchedObs::resolve();
     sched.tiles.add(tasks.len() as u64);
     if par.is_serial() || tasks.len() <= 1 {
         // lint:allow(clock-hygiene) busy-time telemetry only; results are order-insensitive and clock-free
@@ -232,9 +232,9 @@ mod tests {
         // scheduler when this test's install succeeded.
         if obs::install_global(r.clone()) {
             for_each_task(Parallelism::new(2), (0..8).collect(), |_: u8| {});
-            let tiles = r.counter("commgraph_par_tiles_total", "", &[("shape", "task")]);
+            let tiles = r.counter("commgraph_par_tiles_total", "", &[]);
             assert!(tiles.get() >= 8, "8 tasks scheduled");
-            let busy = r.histogram("commgraph_par_worker_busy_seconds", "", &[("shape", "task")]);
+            let busy = r.histogram("commgraph_par_worker_busy_seconds", "", &[]);
             assert!(busy.count() >= 1, "worker busy time recorded");
         }
     }

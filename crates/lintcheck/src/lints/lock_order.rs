@@ -102,7 +102,7 @@ pub fn check(
 
     // Call sites of guard-returning helpers become acquisitions in the
     // caller, with the caller-side statement shape deciding the span.
-    for i in 0..n {
+    for (i, fn_acqs) in acqs.iter_mut().enumerate() {
         let sym = &index.fns[i];
         if sym.is_test {
             continue;
@@ -111,7 +111,7 @@ pub fn check(
         let toks = &file.lexed.toks;
         // A direct site's `.lock(` token also parses as a method call; it
         // must not additionally resolve to a helper named `lock`.
-        let direct_toks: BTreeSet<usize> = acqs[i].iter().map(|a| a.tok).collect();
+        let direct_toks: BTreeSet<usize> = fn_acqs.iter().map(|a| a.tok).collect();
         let mut extra: Vec<Acq> = Vec::new();
         for cs in &index.calls[i] {
             if direct_toks.contains(&cs.tok()) {
@@ -131,8 +131,8 @@ pub fn check(
                 span_end: guard_span(toks, k, sym.body.1),
             });
         }
-        acqs[i].extend(extra);
-        acqs[i].sort_by_key(|a| a.tok);
+        fn_acqs.extend(extra);
+        fn_acqs.sort_by_key(|a| a.tok);
     }
 
     // Transitive lock sets: classes a call to `f` may acquire, at any
@@ -164,11 +164,11 @@ pub fn check(
     let rank = |class: &str| order.iter().position(|c| c == class);
     let mut undeclared: BTreeMap<String, (String, u32, u32)> = BTreeMap::new();
     let mut seen_classes: BTreeSet<String> = BTreeSet::new();
-    for i in 0..n {
+    for (i, fn_acqs) in acqs.iter().enumerate() {
         let sym = &index.fns[i];
         let file = &files[sym.file_idx];
-        let acq_toks: BTreeSet<usize> = acqs[i].iter().map(|a| a.tok).collect();
-        for a in &acqs[i] {
+        let acq_toks: BTreeSet<usize> = fn_acqs.iter().map(|a| a.tok).collect();
+        for a in fn_acqs {
             seen_classes.insert(a.class.clone());
             if rank(&a.class).is_none() {
                 let e =
@@ -179,7 +179,7 @@ pub fn check(
             }
             // (inner class, line, col, via) — deduplicated per outer site.
             let mut pairs: BTreeSet<(String, u32, u32, Option<String>)> = BTreeSet::new();
-            for b in &acqs[i] {
+            for b in fn_acqs {
                 if b.tok > a.tok && b.tok < a.span_end {
                     pairs.insert((b.class.clone(), b.line, b.col, None));
                 }

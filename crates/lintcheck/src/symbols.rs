@@ -279,12 +279,16 @@ impl Scope {
     }
 }
 
+/// One file's functions with their call sites, plus its `use` imports
+/// (local name → qualified path).
+type FileSymbols = (Vec<(FnSym, Vec<CallSite>)>, BTreeMap<String, String>);
+
 fn extract_file(
     file: &SourceFile<'_>,
     file_idx: usize,
     crate_name: &str,
     module: &str,
-) -> (Vec<(FnSym, Vec<CallSite>)>, BTreeMap<String, String>) {
+) -> FileSymbols {
     let toks = &file.lexed.toks;
     let mut out: Vec<(FnSym, Vec<CallSite>)> = Vec::new();
     let mut imports: BTreeMap<String, String> = BTreeMap::new();

@@ -1,10 +1,12 @@
 //! Declarative alerting over the [`crate::tsdb`] store.
 //!
-//! Rules are evaluated once per tick against the time-series store —
-//! threshold ("roll lag p-max above 600 s"), absence ("no scrape for two
-//! ticks"), and SRE-style **dual-window burn-rate** rules over error-budget
-//! SLOs ("late records are consuming the freshness budget faster than 1×
-//! over both the fast and the slow window").
+//! Every rule is a [`crate::query`] expression, evaluated once per tick
+//! against the time-series store: the condition holds when the result is a
+//! non-empty vector or a non-zero scalar. Thresholds (`lag{field="max"} >
+//! 600`), absences (`absent_over_time(samples_total[2])`), and SRE-style
+//! **dual-window burn rates** over error-budget SLOs (the fast- and
+//! slow-window burn conjoined with `and`) are all written in that one
+//! language — see [`query_pack`].
 //!
 //! Every rule runs a four-state machine:
 //!
@@ -24,12 +26,17 @@
 //! count is `commgraph_alert_firing_entries`; evaluation cost is
 //! `commgraph_alert_eval_seconds`.
 //!
+//! SLO burn rates are published separately, as `slo:<name>:burn<window>`
+//! recording rules ([`slo_rules`]) that `/slo` serves; the engine itself
+//! knows nothing of SLOs.
+//!
 //! Determinism: evaluation consumes only store contents and the logical
 //! tick. Rules over deterministic series (record counts, watermarks, roll
 //! lag) therefore produce bit-identical transition sequences across runs —
 //! the contract `tests/alerting.rs` asserts over real HTTP.
 
-use crate::tsdb::{Query, SampleField, Tsdb};
+use crate::query::{Expr, ParseError, RecordingRule};
+use crate::tsdb::Tsdb;
 use crate::{Counter, Gauge, Histogram, Level, Obs};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -40,13 +47,13 @@ const HISTORY_CAP: usize = 1024;
 /// Lifecycle state of one alert rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertState {
-    /// Condition false, nothing pending.
+    /// Expression false, nothing pending.
     Inactive,
-    /// Condition true, but not yet held for the rule's `for_ticks`.
+    /// Expression true, but not yet held for the rule's `for_ticks`.
     Pending,
-    /// Condition held long enough; the alert is active.
+    /// Expression held true long enough; the alert is active.
     Firing,
-    /// Condition cleared after firing; decays to inactive after a hold.
+    /// Expression cleared after firing; decays to inactive after a hold.
     Resolved,
 }
 
@@ -62,165 +69,16 @@ impl AlertState {
     }
 }
 
-/// Selects the single series a rule reads: family name, label subset, and
-/// sample field.
-#[derive(Debug, Clone)]
-pub struct Selector {
-    /// Family name.
-    pub name: String,
-    /// Label pairs the series must carry (subset match).
-    pub labels: Vec<(String, String)>,
-    /// Which scalar of the metric to read.
-    pub field: SampleField,
-}
-
-impl Selector {
-    /// Select the `value` field of `name` (counters and gauges).
-    pub fn value(name: &str) -> Selector {
-        Selector { name: name.to_string(), labels: Vec::new(), field: SampleField::Value }
-    }
-
-    /// Select `field` of `name` (histogram scalars).
-    pub fn field(name: &str, field: SampleField) -> Selector {
-        Selector { name: name.to_string(), labels: Vec::new(), field }
-    }
-
-    /// Require label `key` = `value` (builder style).
-    pub fn with_label(mut self, key: &str, value: &str) -> Selector {
-        self.labels.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    fn query(&self) -> Query {
-        Query {
-            name: Some(self.name.clone()),
-            matchers: self.labels.clone(),
-            field: Some(self.field),
-            ..Query::default()
-        }
-    }
-}
-
-/// Comparison operator of a threshold rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Strictly greater than.
-    Gt,
-    /// Greater than or equal.
-    Ge,
-    /// Strictly less than.
-    Lt,
-    /// Less than or equal.
-    Le,
-}
-
-impl Op {
-    fn eval(&self, lhs: f64, rhs: f64) -> bool {
-        match self {
-            Op::Gt => lhs > rhs,
-            Op::Ge => lhs >= rhs,
-            Op::Lt => lhs < rhs,
-            Op::Le => lhs <= rhs,
-        }
-    }
-}
-
-/// The denominator of an error-budget SLO.
-#[derive(Debug, Clone)]
-pub enum SloTotal {
-    /// A cumulative series of total events (classic good/bad ratio SLO).
-    Series(Selector),
-    /// A fixed expected event rate per tick, for signals with no natural
-    /// total counter (e.g. "≈1000 records arrive per window").
-    PerTick(f64),
-}
-
-/// An error-budget SLO: `bad` events must stay under `1 - objective` of the
-/// total, measured over sliding tick windows.
-#[derive(Debug, Clone)]
-pub struct Slo {
-    /// Short SLO name (JSON output).
-    pub name: String,
-    /// Target good fraction, e.g. `0.999` (error budget `0.001`).
-    pub objective: f64,
-    /// Cumulative bad-event series.
-    pub bad: Selector,
-    /// Total-event denominator.
-    pub total: SloTotal,
-}
-
-impl Slo {
-    /// Burn rate over the `window` ticks ending at `tick`: the fraction of
-    /// the error budget consumed per unit of budget — 1.0 means exactly
-    /// on-budget, above 1.0 the budget depletes early. Missing data reads
-    /// as zero burn.
-    pub fn burn(&self, store: &Tsdb, window: u64, tick: u64) -> f64 {
-        let bad = store.window_delta(&self.bad.query(), window, tick).unwrap_or(0.0).max(0.0);
-        let total = match &self.total {
-            SloTotal::Series(sel) => store.window_delta(&sel.query(), window, tick).unwrap_or(0.0),
-            SloTotal::PerTick(rate) => rate * window.min(tick.max(1)) as f64,
-        };
-        let budget = (1.0 - self.objective).max(f64::MIN_POSITIVE);
-        if total <= 0.0 {
-            return 0.0;
-        }
-        (bad / total) / budget
-    }
-}
-
-/// The condition of one alert rule.
-#[derive(Debug, Clone)]
-pub enum Condition {
-    /// The latest sample of the selected series compares true against
-    /// `value`. No sample at the current tick horizon reads as false.
-    Threshold {
-        /// Series to read.
-        selector: Selector,
-        /// Comparison operator.
-        op: Op,
-        /// Right-hand side.
-        value: f64,
-    },
-    /// No sample has landed on the selected series within the last
-    /// `stale_ticks` ticks (missing series counts as absent).
-    Absence {
-        /// Series to watch.
-        selector: Selector,
-        /// Ticks of silence tolerated before the condition turns true.
-        stale_ticks: u64,
-    },
-    /// SRE dual-window burn rate: true when the SLO's burn exceeds
-    /// `factor` over **both** the fast and the slow window — fast for
-    /// detection speed, slow to reject blips.
-    BurnRate {
-        /// The error-budget SLO.
-        slo: Slo,
-        /// Fast window length, in ticks.
-        fast_ticks: u64,
-        /// Slow window length, in ticks.
-        slow_ticks: u64,
-        /// Burn multiple both windows must exceed.
-        factor: f64,
-    },
-    /// A [`crate::query`] expression evaluated at each tick: true when the
-    /// result is a non-empty vector or a non-zero scalar. This is the
-    /// unified form the other three variants can be lowered to — see
-    /// [`query_pack`] for the expression-based twin of [`default_pack`].
-    Query {
-        /// The source expression (kept for display).
-        src: String,
-        /// The parsed expression.
-        expr: crate::query::Expr,
-    },
-}
-
-/// One declarative alert rule.
+/// One declarative alert rule: a named query expression plus its hold and
+/// severity.
 #[derive(Debug, Clone)]
 pub struct AlertRule {
     /// Unique rule name (label value on transition metrics).
     pub name: String,
-    /// The condition evaluated each tick.
-    pub condition: Condition,
+    /// The source expression (kept for display).
+    pub src: String,
+    /// The parsed expression evaluated each tick.
+    pub expr: Expr,
     /// Consecutive-tick hold in `pending` before firing. `0` fires on the
     /// same tick the condition turns true — still via `pending`.
     pub for_ticks: u64,
@@ -229,41 +87,13 @@ pub struct AlertRule {
 }
 
 impl AlertRule {
-    /// A threshold rule with severity `page`.
-    pub fn threshold(name: &str, selector: Selector, op: Op, value: f64, for_ticks: u64) -> Self {
-        AlertRule {
-            name: name.to_string(),
-            condition: Condition::Threshold { selector, op, value },
-            for_ticks,
-            severity: "page".to_string(),
-        }
-    }
-
-    /// An absence rule with severity `ticket`.
-    pub fn absence(name: &str, selector: Selector, stale_ticks: u64) -> Self {
-        AlertRule {
-            name: name.to_string(),
-            condition: Condition::Absence { selector, stale_ticks },
-            for_ticks: 0,
-            severity: "ticket".to_string(),
-        }
-    }
-
-    /// A dual-window burn-rate rule with severity `page`.
-    pub fn burn_rate(name: &str, slo: Slo, fast_ticks: u64, slow_ticks: u64, factor: f64) -> Self {
-        AlertRule {
-            name: name.to_string(),
-            condition: Condition::BurnRate { slo, fast_ticks, slow_ticks, factor },
-            for_ticks: 0,
-            severity: "page".to_string(),
-        }
-    }
-
-    /// A rule on a query-engine expression, with severity `page`.
-    pub fn query(name: &str, src: &str) -> Result<Self, crate::query::ParseError> {
+    /// A rule on a query-engine expression, with severity `page` and no
+    /// pending hold.
+    pub fn query(name: &str, src: &str) -> Result<Self, ParseError> {
         Ok(AlertRule {
             name: name.to_string(),
-            condition: Condition::Query { src: src.to_string(), expr: crate::query::parse(src)? },
+            src: src.to_string(),
+            expr: crate::query::parse(src)?,
             for_ticks: 0,
             severity: "page".to_string(),
         })
@@ -293,8 +123,8 @@ pub struct Transition {
     pub from: AlertState,
     /// State entered.
     pub to: AlertState,
-    /// The observed value that drove the evaluation, when the condition
-    /// reads one (threshold: latest sample; burn rate: fast-window burn).
+    /// The first value of the expression result at this evaluation (the
+    /// scalar, or the first sample of a non-empty vector).
     pub value: Option<f64>,
 }
 
@@ -309,28 +139,8 @@ pub struct AlertStatus {
     pub state: AlertState,
     /// Tick the current state was entered (0 before any transition).
     pub since_tick: u64,
-    /// Last observed condition value, if the condition reads one.
+    /// First value of the expression result at the last evaluation.
     pub value: Option<f64>,
-}
-
-/// Point-in-time burn-rate picture of one SLO-backed rule (what `/slo`
-/// serves), recomputed at each evaluation.
-#[derive(Debug, Clone)]
-pub struct SloStatus {
-    /// Rule name the SLO backs.
-    pub rule: String,
-    /// SLO name.
-    pub slo: String,
-    /// Target good fraction.
-    pub objective: f64,
-    /// Burn over the fast window at the last evaluation.
-    pub burn_fast: f64,
-    /// Burn over the slow window at the last evaluation.
-    pub burn_slow: f64,
-    /// Burn multiple the rule alerts at.
-    pub factor: f64,
-    /// Whether the backing rule is currently firing.
-    pub firing: bool,
 }
 
 #[derive(Debug)]
@@ -346,7 +156,6 @@ struct EngineInner {
     rules: Vec<AlertRule>,
     states: Vec<RuleState>,
     history: VecDeque<Transition>,
-    slo_status: Vec<SloStatus>,
     last_tick: u64,
 }
 
@@ -382,7 +191,6 @@ impl AlertEngine {
                 rules: Vec::new(),
                 states: Vec::new(),
                 history: VecDeque::new(),
-                slo_status: Vec::new(),
                 last_tick: 0,
             }),
             obs,
@@ -435,8 +243,9 @@ impl AlertEngine {
     }
 
     /// Evaluate every rule at `tick` against `store`, returning the
-    /// transitions this pass produced (in rule-installation order). Each
-    /// transition is mirrored to the event log and counted on
+    /// transitions this pass produced (in rule-installation order). An
+    /// expression that fails to evaluate reads as false. Each transition is
+    /// mirrored to the event log and counted on
     /// `commgraph_alert_transitions_total`.
     pub fn evaluate(&self, tick: u64, store: &Tsdb) -> Vec<Transition> {
         // lint:allow(clock-hygiene) self-timing of the evaluate pass; rule state depends only on the injected tick
@@ -445,9 +254,11 @@ impl AlertEngine {
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.last_tick = tick;
-        inner.slo_status.clear();
         for (rule, rs) in inner.rules.iter().zip(inner.states.iter_mut()) {
-            let (cond, value) = eval_condition(&rule.condition, store, tick);
+            let (cond, value) = match crate::query::eval(store, &rule.expr, tick) {
+                Ok(v) => (v.is_truthy(), v.first_value()),
+                Err(_) => (false, None),
+            };
             rs.value = value;
             let mut go = |rs: &mut RuleState, to: AlertState| {
                 let from = rs.state;
@@ -482,17 +293,6 @@ impl AlertEngine {
                     }
                     AlertState::Inactive => {}
                 }
-            }
-            if let Condition::BurnRate { slo, fast_ticks, slow_ticks, factor } = &rule.condition {
-                inner.slo_status.push(SloStatus {
-                    rule: rule.name.clone(),
-                    slo: slo.name.clone(),
-                    objective: slo.objective,
-                    burn_fast: slo.burn(store, *fast_ticks, tick),
-                    burn_slow: slo.burn(store, *slow_ticks, tick),
-                    factor: *factor,
-                    firing: rs.state == AlertState::Firing,
-                });
             }
         }
         let firing = inner.states.iter().filter(|s| s.state == AlertState::Firing).count();
@@ -590,145 +390,28 @@ impl AlertEngine {
         out.push_str("]}");
         out
     }
-
-    /// The `/slo` document: the burn-rate picture captured at the last
-    /// evaluation (tick-keyed, deterministic for deterministic series).
-    pub fn slo_json(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::from("{\"tick\":");
-        out.push_str(&inner.last_tick.to_string());
-        out.push_str(",\"slos\":[");
-        for (i, s) in inner.slo_status.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rule\":");
-            out.push_str(&crate::export::json_str(&s.rule));
-            out.push_str(",\"slo\":");
-            out.push_str(&crate::export::json_str(&s.slo));
-            out.push_str(",\"objective\":");
-            out.push_str(&crate::export::json_f64(s.objective));
-            out.push_str(",\"burn_fast\":");
-            out.push_str(&crate::export::json_f64(s.burn_fast));
-            out.push_str(",\"burn_slow\":");
-            out.push_str(&crate::export::json_f64(s.burn_slow));
-            out.push_str(",\"factor\":");
-            out.push_str(&crate::export::json_f64(s.factor));
-            out.push_str(",\"firing\":");
-            out.push_str(if s.firing { "true" } else { "false" });
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
-/// Evaluate one condition; returns (truth, observed value).
-fn eval_condition(cond: &Condition, store: &Tsdb, tick: u64) -> (bool, Option<f64>) {
-    match cond {
-        Condition::Threshold { selector, op, value } => {
-            match store.latest_at(&selector.query(), tick) {
-                Some((_, v)) => (op.eval(v, *value), Some(v)),
-                None => (false, None),
-            }
-        }
-        Condition::Absence { selector, stale_ticks } => {
-            match store.latest_at(&selector.query(), tick) {
-                Some((t, v)) => (tick.saturating_sub(t) > *stale_ticks, Some(v)),
-                None => (true, None),
-            }
-        }
-        Condition::BurnRate { slo, fast_ticks, slow_ticks, factor } => {
-            let fast = slo.burn(store, *fast_ticks, tick);
-            let slow = slo.burn(store, *slow_ticks, tick);
-            (fast > *factor && slow > *factor, Some(fast))
-        }
-        Condition::Query { expr, .. } => match crate::query::eval(store, expr, tick) {
-            Ok(v) => (v.is_truthy(), v.first_value()),
-            Err(_) => (false, None),
-        },
-    }
+/// The burn rate over the last `w` ticks of an error-budget SLO with a
+/// fixed expected event rate per tick: the fraction of the budget consumed
+/// per unit of budget, `(max(Δbad, 0) / (rate · min(w, max(tick, 1)))) /
+/// budget` — 1.0 is exactly on budget.
+fn burn_per_tick(bad: &str, rate: f64, budget: f64, w: u64) -> String {
+    format!("clamp_min(increase({bad}[{w}]), 0) / ({rate} * min({w}, max(tick(), 1))) / {budget}")
 }
 
-/// The default streaming-health alert pack, sized by the expected record
-/// rate per tick (one tick = one rolled window under the deterministic-tick
-/// contract):
-///
-/// * `window_roll_lag_high` — pipeline roll lag max above 600 s for 2 ticks.
-/// * `late_records_burn` — dual-window burn over a 99 % freshness SLO
-///   (late records vs `expected_records_per_tick`).
-/// * `dedup_drops_burn` — dual-window burn over the engine's dedup-drop
-///   budget (drops vs offered records; objective 0.2 tolerates the routine
-///   multi-vantage duplication).
-/// * `incremental_savings_stalled` — no warm-window savings sample for 4
-///   ticks while the pipeline runs incrementally.
-/// * `tsdb_scrape_stalled` — the scraper itself stopped appending.
-pub fn default_pack(expected_records_per_tick: f64) -> Vec<AlertRule> {
-    vec![
-        AlertRule::threshold(
-            "window_roll_lag_high",
-            Selector::field("commgraph_window_roll_lag_seconds", SampleField::Max)
-                .with_label("source", "pipeline"),
-            Op::Gt,
-            600.0,
-            2,
-        ),
-        AlertRule::burn_rate(
-            "late_records_burn",
-            Slo {
-                name: "freshness".to_string(),
-                objective: 0.99,
-                bad: Selector::value("commgraph_pipeline_late_records_total"),
-                total: SloTotal::PerTick(expected_records_per_tick.max(1.0)),
-            },
-            2,
-            8,
-            1.0,
-        ),
-        AlertRule::burn_rate(
-            "dedup_drops_burn",
-            Slo {
-                name: "dedup_budget".to_string(),
-                objective: 0.2,
-                bad: Selector::value("commgraph_engine_dropped_records_total"),
-                total: SloTotal::Series(Selector::value("commgraph_engine_records_in_total")),
-            },
-            2,
-            8,
-            1.0,
-        ),
-        AlertRule::absence(
-            "incremental_savings_stalled",
-            Selector::field("commgraph_incremental_savings_seconds", SampleField::Count),
-            4,
-        ),
-        AlertRule::absence(
-            "tsdb_scrape_stalled",
-            Selector::value("commgraph_tsdb_samples_total"),
-            2,
-        ),
-    ]
-}
-
-/// A dual-window burn expression replicating [`Slo::burn`] for a
-/// fixed-per-tick denominator: `((max(Δbad, 0) / (rate · min(w, max(tick,
-/// 1)))) / budget) > factor`, conjoined over the fast and slow windows.
-/// The budget is embedded pre-computed (`1 - objective` in f64) so the
-/// arithmetic matches the hard-coded path bit for bit.
+/// A dual-window burn condition for a fixed-per-tick denominator: the burn
+/// exceeds `factor` over **both** the fast window `f` (detection speed) and
+/// the slow window `s` (rejects blips). The budget is embedded
+/// pre-computed (`1 - objective` in f64).
 fn burn_per_tick_expr(bad: &str, rate: f64, budget: f64, factor: f64, f: u64, s: u64) -> String {
-    let win = |w: u64| {
-        format!(
-            "(clamp_min(increase({bad}[{w}]), 0) / ({rate} * min({w}, max(tick(), 1))) \
-             / {budget} > {factor})"
-        )
-    };
+    let win = |w: u64| format!("({} > {factor})", burn_per_tick(bad, rate, budget, w));
     format!("{} and {}", win(f), win(s))
 }
 
-/// A dual-window burn expression replicating [`Slo::burn`] for a series
-/// denominator. The extra `increase(total) > 0` conjunct reproduces the
-/// hard-coded "no traffic reads as zero burn" guard, which a bare division
-/// would turn into ±∞.
+/// A dual-window burn condition for a cumulative-total denominator. The
+/// extra `increase(total) > 0` conjunct makes "no traffic" read as zero
+/// burn, which a bare division would turn into ±∞.
 fn burn_series_expr(bad: &str, total: &str, budget: f64, factor: f64, f: u64, s: u64) -> String {
     let win = |w: u64| {
         format!(
@@ -739,17 +422,35 @@ fn burn_series_expr(bad: &str, total: &str, budget: f64, factor: f64, f: u64, s:
     format!("{} and {}", win(f), win(s))
 }
 
-/// The expression-based twin of [`default_pack`]: the same five rules, same
-/// names, same `for_ticks` and severities, but every condition is a
-/// [`Condition::Query`] expression instead of hard-coded Rust. Produces the
-/// exact same transition sequences as [`default_pack`] on any store (the
-/// `tests/alerting.rs` workload proves this transition-for-transition).
-/// Returns `Err` only if a template expression fails to parse, which the
-/// unit tests rule out.
-pub fn query_pack(
-    expected_records_per_tick: f64,
-) -> Result<Vec<AlertRule>, crate::query::ParseError> {
+/// Bad-event counter of the freshness SLO (late records).
+const FRESHNESS_BAD: &str = "commgraph_pipeline_late_records_total";
+/// Freshness SLO objective: 99 % of the expected records arrive on time.
+const FRESHNESS_OBJECTIVE: f64 = 0.99;
+/// Fast and slow burn windows, in ticks, of every burn rule.
+const BURN_WINDOWS: (u64, u64) = (2, 8);
+
+/// The default streaming-health alert pack, sized by the expected record
+/// rate per tick (one tick = one rolled window under the deterministic-tick
+/// contract). Every condition is a [`crate::query`] expression:
+///
+/// * `window_roll_lag_high` — pipeline roll lag max above 600 s for 2 ticks.
+/// * `late_records_burn` — dual-window burn over a 99 % freshness SLO
+///   (late records vs `expected_records_per_tick`).
+/// * `dedup_drops_burn` — dual-window burn over the engine's dedup-drop
+///   budget (drops vs offered records; objective 0.2 tolerates the routine
+///   multi-vantage duplication).
+/// * `incremental_savings_stalled` — no warm-window savings sample for 4
+///   ticks while the pipeline runs incrementally (severity `ticket`).
+/// * `tsdb_scrape_stalled` — the scraper itself stopped appending
+///   (severity `ticket`).
+///
+/// `tests/alerting.rs` pins the pack's transition sequence on a real
+/// workload against a golden recorded from the retired hard-coded
+/// evaluator. Returns `Err` only if a template expression fails to parse,
+/// which the unit tests rule out.
+pub fn query_pack(expected_records_per_tick: f64) -> Result<Vec<AlertRule>, ParseError> {
     let rate = expected_records_per_tick.max(1.0);
+    let (fast, slow) = BURN_WINDOWS;
     Ok(vec![
         AlertRule::query(
             "window_roll_lag_high",
@@ -758,14 +459,7 @@ pub fn query_pack(
         .with_for_ticks(2),
         AlertRule::query(
             "late_records_burn",
-            &burn_per_tick_expr(
-                "commgraph_pipeline_late_records_total",
-                rate,
-                1.0 - 0.99,
-                1.0,
-                2,
-                8,
-            ),
+            &burn_per_tick_expr(FRESHNESS_BAD, rate, 1.0 - FRESHNESS_OBJECTIVE, 1.0, fast, slow),
         )?,
         AlertRule::query(
             "dedup_drops_burn",
@@ -774,8 +468,8 @@ pub fn query_pack(
                 "commgraph_engine_records_in_total",
                 1.0 - 0.2,
                 1.0,
-                2,
-                8,
+                fast,
+                slow,
             ),
         )?,
         AlertRule::query(
@@ -789,6 +483,25 @@ pub fn query_pack(
         )?
         .with_severity("ticket"),
     ])
+}
+
+/// Recording rules publishing the freshness-SLO burn that
+/// [`query_pack`]'s `late_records_burn` alerts on, over its fast and slow
+/// windows, as `slo:freshness:burn2` and `slo:freshness:burn8` — the
+/// `slo:<name>:burn<window>` series `/slo` serves. Install them with
+/// [`crate::tsdb::Scraper::add_recording_rules`].
+pub fn slo_rules(expected_records_per_tick: f64) -> Result<Vec<RecordingRule>, ParseError> {
+    let rate = expected_records_per_tick.max(1.0);
+    let (fast, slow) = BURN_WINDOWS;
+    [fast, slow]
+        .into_iter()
+        .map(|w| {
+            RecordingRule::new(
+                &format!("slo:freshness:burn{w}"),
+                &burn_per_tick(FRESHNESS_BAD, rate, 1.0 - FRESHNESS_OBJECTIVE, w),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -806,6 +519,10 @@ mod tests {
         db
     }
 
+    fn rule(name: &str, src: &str, for_ticks: u64) -> AlertRule {
+        AlertRule::query(name, src).expect("test expression parses").with_for_ticks(for_ticks)
+    }
+
     fn seq(engine: &AlertEngine, db: &Tsdb, ticks: std::ops::RangeInclusive<u64>) -> Vec<String> {
         let mut out = Vec::new();
         for tick in ticks {
@@ -820,7 +537,7 @@ mod tests {
     fn threshold_lifecycle_passes_through_every_state() {
         let db = store_with(&[(1, 0.0), (2, 9.0), (3, 9.0), (4, 9.0), (5, 0.0), (6, 0.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold("hot", Selector::value("sig_total"), Op::Gt, 5.0, 1));
+        engine.add_rule(rule("hot", "sig_total > 5", 1));
         let trace = seq(&engine, &db, 1..=7);
         assert_eq!(
             trace,
@@ -837,13 +554,7 @@ mod tests {
     fn zero_hold_still_passes_through_pending_on_the_same_tick() {
         let db = store_with(&[(1, 9.0), (2, 0.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold(
-            "instant",
-            Selector::value("sig_total"),
-            Op::Gt,
-            5.0,
-            0,
-        ));
+        engine.add_rule(rule("instant", "sig_total > 5", 0));
         let trace = seq(&engine, &db, 1..=1);
         assert_eq!(trace, vec!["1:inactive->pending", "1:pending->firing"]);
     }
@@ -852,13 +563,7 @@ mod tests {
     fn resolved_alerts_refire_through_pending() {
         let db = store_with(&[(1, 9.0), (2, 0.0), (3, 9.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold(
-            "flappy",
-            Selector::value("sig_total"),
-            Op::Gt,
-            5.0,
-            0,
-        ));
+        engine.add_rule(rule("flappy", "sig_total > 5", 0));
         let trace = seq(&engine, &db, 1..=3);
         assert_eq!(
             trace,
@@ -876,7 +581,7 @@ mod tests {
     fn pending_clears_without_firing_on_a_blip() {
         let db = store_with(&[(1, 9.0), (2, 0.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold("blip", Selector::value("sig_total"), Op::Gt, 5.0, 3));
+        engine.add_rule(rule("blip", "sig_total > 5", 3));
         let trace = seq(&engine, &db, 1..=2);
         assert_eq!(trace, vec!["1:inactive->pending", "2:pending->inactive"]);
     }
@@ -885,7 +590,7 @@ mod tests {
     fn absence_fires_on_missing_and_stale_series() {
         let db = Tsdb::default();
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::absence("gone", Selector::value("sig_total"), 2));
+        engine.add_rule(rule("gone", "absent_over_time(sig_total[2])", 0));
         let t = engine.evaluate(1, &db);
         assert_eq!(t.last().map(|t| t.to), Some(AlertState::Firing), "missing series is absent");
 
@@ -901,45 +606,24 @@ mod tests {
     #[test]
     fn burn_rate_needs_both_windows_hot() {
         // Bad counter burns 30 of a 100-per-tick budget in ticks 4..6 —
-        // hot on the 2-tick window but still cold on the 8-tick window.
+        // fast window 2 burns 3.0, slow window 5 burns 1.2 (the numbers
+        // themselves are pinned in `query::tests`).
         let db = Tsdb::default();
         for (t, v) in [(1u64, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, 30.0), (6, 60.0)] {
             db.append(SeriesKey::value("bad_total", &[]), t, v);
         }
-        let slo = Slo {
-            name: "budget".to_string(),
-            objective: 0.9,
-            bad: Selector::value("bad_total"),
-            total: SloTotal::PerTick(100.0),
-        };
-        // fast window 2: delta v(6)-v(4) = 60 over 200 expected → ratio
-        // 0.3 / budget 0.1 → burn 3.0. slow window 5: delta v(6)-v(1) = 60
-        // over 500 → 0.12 / 0.1 → burn 1.2.
-        assert!((slo.burn(&db, 2, 6) - 3.0).abs() < 1e-12);
-        assert!((slo.burn(&db, 5, 6) - 1.2).abs() < 1e-12);
+        let burn = |factor: f64| burn_per_tick_expr("bad_total", 100.0, 1.0 - 0.9, factor, 2, 5);
 
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::burn_rate("burn", slo, 2, 5, 1.3));
+        engine.add_rule(rule("burn", &burn(1.3), 0));
         assert!(engine.evaluate(6, &db).is_empty(), "slow window 1.2 < factor 1.3 rejects");
 
         let engine2 = AlertEngine::new(Obs::noop());
-        engine2.add_rule(AlertRule::burn_rate(
-            "burn",
-            Slo {
-                name: "budget".to_string(),
-                objective: 0.9,
-                bad: Selector::value("bad_total"),
-                total: SloTotal::PerTick(100.0),
-            },
-            2,
-            5,
-            1.1,
-        ));
+        engine2.add_rule(rule("burn", &burn(1.1), 0));
         let t = engine2.evaluate(6, &db);
         assert!(t.iter().any(|t| t.to == AlertState::Firing), "both windows above 1.1: {t:?}");
-        let slos = engine2.slo_json();
-        assert!(slos.contains("\"burn_fast\":3"), "{slos}");
-        assert!(slos.contains("\"firing\":true"), "{slos}");
+        let fast = t[0].value.expect("firing burn carries its fast-window value");
+        assert!((fast - 3.0).abs() < 1e-12, "{fast}");
     }
 
     #[test]
@@ -948,7 +632,7 @@ mod tests {
         let o = Obs::new(registry.clone());
         let db = store_with(&[(1, 9.0)]);
         let engine = AlertEngine::new(o);
-        engine.add_rule(AlertRule::threshold("hot", Selector::value("sig_total"), Op::Gt, 5.0, 0));
+        engine.add_rule(rule("hot", "sig_total > 5", 0));
         engine.evaluate(1, &db);
         let pending = registry
             .counter(
@@ -980,7 +664,7 @@ mod tests {
     fn alerts_json_is_tick_keyed() {
         let db = store_with(&[(1, 9.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold("hot", Selector::value("sig_total"), Op::Gt, 5.0, 0));
+        engine.add_rule(rule("hot", "sig_total > 5", 0));
         engine.evaluate(1, &db);
         let json = engine.alerts_json();
         assert!(json.starts_with("{\"tick\":1,\"alerts\":["), "{json}");
@@ -995,43 +679,45 @@ mod tests {
     }
 
     #[test]
-    fn default_pack_installs_and_evaluates_clean_on_an_empty_store() {
+    fn query_pack_installs_and_evaluates_clean_on_an_empty_store() {
+        let pack = query_pack(1000.0).expect("pack templates parse");
+        let shape: Vec<(&str, u64, &str)> =
+            pack.iter().map(|r| (r.name.as_str(), r.for_ticks, r.severity.as_str())).collect();
+        assert_eq!(
+            shape,
+            vec![
+                ("window_roll_lag_high", 2, "page"),
+                ("late_records_burn", 0, "page"),
+                ("dedup_drops_burn", 0, "page"),
+                ("incremental_savings_stalled", 0, "ticket"),
+                ("tsdb_scrape_stalled", 0, "ticket"),
+            ]
+        );
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rules(default_pack(1000.0));
+        engine.add_rules(pack);
         assert_eq!(engine.rule_count(), 5);
         let db = Tsdb::default();
         // Absence rules fire on a silent store; that is their contract.
         let transitions = engine.evaluate(1, &db);
         assert!(transitions.iter().all(|t| t.rule.ends_with("_stalled")), "{transitions:?}");
+        assert_eq!(transitions.len(), 4, "both absence rules pend and fire on tick 1");
     }
 
     #[test]
-    fn query_pack_parses_and_mirrors_default_pack_shape() {
-        let hard = default_pack(1000.0);
-        let exprs = query_pack(1000.0).expect("pack templates parse");
-        assert_eq!(hard.len(), exprs.len());
-        for (h, e) in hard.iter().zip(&exprs) {
-            assert_eq!(h.name, e.name);
-            assert_eq!(h.for_ticks, e.for_ticks, "{}", h.name);
-            assert_eq!(h.severity, e.severity, "{}", h.name);
-            assert!(matches!(e.condition, Condition::Query { .. }), "{}", e.name);
-        }
-    }
-
-    #[test]
-    fn query_pack_matches_default_pack_on_an_empty_store() {
+    fn slo_rules_record_the_burn_the_pack_alerts_on() {
         let db = Tsdb::default();
-        let hard = AlertEngine::new(Obs::noop());
-        hard.add_rules(default_pack(1000.0));
-        let expr = AlertEngine::new(Obs::noop());
-        expr.add_rules(query_pack(1000.0).expect("pack templates parse"));
-        for tick in 1..=6 {
-            let a = hard.evaluate(tick, &db);
-            let b = expr.evaluate(tick, &db);
-            let strip = |v: Vec<Transition>| -> Vec<_> {
-                v.into_iter().map(|t| (t.tick, t.rule, t.from, t.to)).collect()
-            };
-            assert_eq!(strip(a), strip(b), "tick {tick}");
+        for (t, v) in [(1u64, 0.0), (2, 0.0), (3, 10.0), (4, 30.0)] {
+            db.append(SeriesKey::value(FRESHNESS_BAD, &[]), t, v);
         }
+        let rules = slo_rules(1000.0).expect("slo templates parse");
+        let names: Vec<&str> = rules.iter().map(|r| r.name()).collect();
+        assert_eq!(names, vec!["slo:freshness:burn2", "slo:freshness:burn8"]);
+        for r in &rules {
+            assert_eq!(r.record(&db, 4), Ok(1));
+        }
+        // Fast window: Δbad = 30 over 2 × 1000 expected → 0.015 / 0.01.
+        let fast = crate::query::eval(&db, &crate::query::parse("slo:freshness:burn2").unwrap(), 4);
+        let fast = fast.unwrap().first_value().unwrap();
+        assert!((fast - 1.5).abs() < 1e-9, "{fast}");
     }
 }

@@ -14,14 +14,18 @@
 //!   ring, a Chrome-trace-event exporter, and a text tree renderer.
 //! * [`serve`] — a zero-dependency HTTP/1.0 introspection server exposing
 //!   `/metrics`, `/metrics.json`, `/healthz`, `/trace`, `/events`,
-//!   `/query`, `/alerts`, and `/slo`.
+//!   `/query`, `/query_range`, `/alerts`, and `/slo`.
 //! * [`tsdb`] — a bounded in-memory time-series store: a [`Scraper`]
 //!   samples every registry family on an injectable tick (logical in
 //!   tests/pipeline, wall-clock in the live server) into fixed-capacity
 //!   delta-encoded per-series rings.
-//! * [`alert`] — declarative threshold/absence/burn-rate rules over the
-//!   store, driven through an inactive → pending → firing → resolved
-//!   state machine that mirrors to the event log.
+//! * [`query`] — a deterministic PromQL-subset engine over the store: the
+//!   one language of `/query`, `/query_range`, recording rules, and alert
+//!   rules.
+//! * [`alert`] — declarative alert rules, each a [`query`] expression
+//!   (thresholds, absences, dual-window burn rates), driven through an
+//!   inactive → pending → firing → resolved state machine that mirrors to
+//!   the event log.
 //! * [`cardinality`] — [`LabelCap`], the per-tenant label cap with an
 //!   explicit `overflow` bucket.
 //! * [`log`] — leveled structured [`Event`]s with `COMMGRAPH_LOG`
@@ -76,7 +80,7 @@ pub mod span;
 pub mod trace;
 pub mod tsdb;
 
-pub use crate::alert::{AlertEngine, AlertRule, AlertState, Condition, Slo, SloTotal, Transition};
+pub use crate::alert::{AlertEngine, AlertRule, AlertState, Transition};
 pub use crate::cardinality::LabelCap;
 pub use crate::log::{Event, Level, LogFilter};
 pub use crate::metrics::{BucketCount, Counter, Gauge, Histogram, HistogramSnapshot};
@@ -85,7 +89,7 @@ pub use crate::registry::{MetricKind, MetricSnapshot, Registry, SnapshotValue};
 pub use crate::serve::{IntrospectionServer, ServerHandle};
 pub use crate::span::SpanGuard;
 pub use crate::trace::{FlightDump, SpanEvent, SpanRecord, TraceSpan, Tracer};
-pub use crate::tsdb::{Query, SampleField, Scraper, ScraperHandle, SeriesKey, Tsdb, TsdbConfig};
+pub use crate::tsdb::{SampleField, Scraper, ScraperHandle, SeriesKey, Tsdb, TsdbConfig};
 
 use std::sync::{Arc, OnceLock};
 

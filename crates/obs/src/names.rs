@@ -218,13 +218,13 @@ pub const METRICS: &[MetricDef] = &[
         name: "commgraph_par_tiles_total",
         kind: MetricKind::Counter,
         help: "Tiles/tasks scheduled by the data-parallel work queues.",
-        labels: &["shape"],
+        labels: &[],
     },
     MetricDef {
         name: "commgraph_par_worker_busy_seconds",
         kind: MetricKind::Histogram,
         help: "Per-worker busy time of one scheduler invocation.",
-        labels: &["shape"],
+        labels: &[],
     },
     MetricDef {
         name: "commgraph_pipeline_dropped_late_records_total",

@@ -27,14 +27,20 @@
 //!   current evaluation tick as a scalar).
 //!
 //! Evaluation reads **the newest sample at or before the tick** with no
-//! staleness cutoff, mirroring [`Tsdb::latest_at`]; `increase` reproduces
-//! [`Tsdb::window_delta`] exactly (including its oldest-retained-sample
-//! fallback), which is what lets [`crate::alert::query_pack`] replicate the
-//! hard-coded alert pack transition-for-transition. Counter resets are not
-//! compensated. Output vectors are sorted by `(name, labels)` via
-//! `BTreeMap` ordering at every step, never by hash order.
+//! staleness cutoff. `increase(sel[w])` is the newest value at or before
+//! the tick minus the newest value at or before `tick - w`, falling back to
+//! the oldest retained sample when the window start predates retention (a
+//! documented undercount for series born mid-window); these are the
+//! semantics the [`crate::alert::query_pack`] rules are pinned to. Counter
+//! resets are not compensated. Output vectors are sorted by
+//! `(name, labels)` via `BTreeMap` ordering at every step, never by hash
+//! order.
+//!
+//! Range evaluation ([`eval_range`], `/query_range`) is capped at
+//! [`MAX_RANGE_STEPS`] evaluated ticks, so one request cannot wedge the
+//! single-threaded introspection server or allocate without bound.
 
-use crate::tsdb::{Query, SampleField, SeriesKey, Tsdb};
+use crate::tsdb::{SampleField, SeriesKey, Tsdb};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -391,7 +397,8 @@ impl BinOp {
 pub enum RangeFn {
     /// Per-tick increase: `increase / w`.
     Rate,
-    /// Window delta with [`Tsdb::window_delta`] semantics.
+    /// Window delta: newest value minus the newest value at or before the
+    /// window floor (oldest retained sample when the floor predates it).
     Increase,
     /// Last minus first sample inside the window (gauge semantics).
     Delta,
@@ -1085,8 +1092,7 @@ fn sample_labels(key: &SeriesKey) -> Vec<(String, String)> {
 /// All matching series with their points at or before `tick`,
 /// oldest-first, in deterministic store order.
 fn select_raw(store: &Tsdb, sel: &Selector, tick: u64) -> Vec<crate::tsdb::SeriesData> {
-    let q = Query { name: Some(sel.name.clone()), to: Some(tick), ..Query::default() };
-    store.query(&q).into_iter().filter(|s| key_matches(sel, &s.key)).collect()
+    store.series(&sel.name, tick).into_iter().filter(|s| key_matches(sel, &s.key)).collect()
 }
 
 fn instant(store: &Tsdb, sel: &Selector, tick: u64) -> Vec<Sample> {
@@ -1118,9 +1124,8 @@ fn eval_range_fn(store: &Tsdb, func: RangeFn, sel: &Selector, w: u64, tick: u64)
         // `s.points` already holds only ticks <= `tick`, oldest first.
         let value = match func {
             RangeFn::Rate | RangeFn::Increase => {
-                // Exactly `Tsdb::window_delta`: newest value minus the
-                // newest value at or before the window floor, falling back
-                // to the oldest retained sample.
+                // Newest value minus the newest value at or before the
+                // window floor, falling back to the oldest retained sample.
                 let Some((_, end)) = s.points.last() else { continue };
                 let start = s
                     .points
@@ -1397,9 +1402,14 @@ pub struct RangeSeries {
 /// Accumulator key for [`eval_range`]: series name + sorted label pairs.
 type SeriesId = (String, Vec<(String, String)>);
 
+/// The most ticks one [`eval_range`] call evaluates (Prometheus's
+/// 11 000-points-per-series limit). Wider ranges are rejected up front.
+pub const MAX_RANGE_STEPS: u64 = 11_000;
+
 /// Evaluate `expr` at every tick `from, from+step, ...` up to and
 /// including `to`, merging per-tick vectors into per-series point lists.
 /// A scalar result becomes one series with an empty name and no labels.
+/// A range of more than [`MAX_RANGE_STEPS`] ticks is an error.
 pub fn eval_range(
     store: &Tsdb,
     expr: &Expr,
@@ -1408,6 +1418,13 @@ pub fn eval_range(
     step: u64,
 ) -> Result<Vec<RangeSeries>, EvalError> {
     let step = step.max(1);
+    let steps = if to < from { 0 } else { ((to - from) / step).saturating_add(1) };
+    if steps > MAX_RANGE_STEPS {
+        return Err(eval_err(format!(
+            "range from {from} to {to} step {step} evaluates {steps} ticks, \
+             above the cap of {MAX_RANGE_STEPS}"
+        )));
+    }
     let mut acc: BTreeMap<SeriesId, Vec<(u64, f64)>> = BTreeMap::new();
     let mut t = from;
     while t <= to {
@@ -1445,34 +1462,23 @@ fn push_labels_json(out: &mut String, labels: &[(String, String)]) {
     out.push('}');
 }
 
-/// Render an instant [`Value`] as deterministic JSON:
-/// `{"type":"scalar","value":v}` or
-/// `{"type":"vector","samples":[{"name":..,"labels":{..},"value":..},..]}`.
-pub fn value_json(v: &Value) -> String {
-    let mut out = String::new();
-    match v {
-        Value::Scalar(s) => {
-            out.push_str("{\"type\":\"scalar\",\"value\":");
-            out.push_str(&crate::export::json_f64(*s));
-            out.push('}');
+/// Render samples as a JSON array
+/// `[{"name":..,"labels":{..},"value":..},..]`.
+pub(crate) fn samples_json(samples: &[Sample]) -> String {
+    let mut out = String::from("[");
+    for (i, s) in samples.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        Value::Vector(samples) => {
-            out.push_str("{\"type\":\"vector\",\"samples\":[");
-            for (i, s) in samples.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"name\":");
-                out.push_str(&crate::export::json_str(&s.name));
-                out.push_str(",\"labels\":");
-                push_labels_json(&mut out, &s.labels);
-                out.push_str(",\"value\":");
-                out.push_str(&crate::export::json_f64(s.value));
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
+        out.push_str("{\"name\":");
+        out.push_str(&crate::export::json_str(&s.name));
+        out.push_str(",\"labels\":");
+        push_labels_json(&mut out, &s.labels);
+        out.push_str(",\"value\":");
+        out.push_str(&crate::export::json_f64(s.value));
+        out.push('}');
     }
+    out.push(']');
     out
 }
 
@@ -1657,15 +1663,52 @@ mod tests {
     }
 
     #[test]
-    fn increase_matches_tsdb_window_delta_exactly() {
-        let s = store();
-        for (w, tick) in [(2u64, 8u64), (4, 8), (8, 8), (3, 5), (20, 8)] {
-            let expr = format!("increase(req_total{{shard=\"a\"}}[{w}])");
-            let v = vec_of(eval_str(&s, &expr, tick));
-            let q = Query::family("req_total").with_label("shard", "a");
-            let want = s.window_delta(&q, w, tick).unwrap();
-            assert_eq!(v[0].value, want, "w={w} tick={tick}");
+    fn increase_and_instant_reads_on_a_sparse_counter() {
+        let s = Tsdb::default();
+        for (t, v) in [(1u64, 0.0), (2, 10.0), (3, 10.0), (4, 25.0)] {
+            s.append(SeriesKey::value("c_total", &[]), t, v);
         }
+        let value = |src: &str, tick: u64| eval_str(&s, src, tick).first_value();
+        assert_eq!(value("c_total", 4), Some(25.0));
+        assert_eq!(value("c_total", 3), Some(10.0));
+        assert_eq!(value("c_total", 0), None, "no sample at or before tick 0");
+        assert_eq!(value("increase(c_total[2])", 4), Some(15.0), "v(4) - v(2)");
+        assert_eq!(value("increase(c_total[10])", 4), Some(25.0), "clamps to oldest retained");
+        assert_eq!(value("increase(c_total[2])", 0), None, "no sample yields an empty result");
+    }
+
+    #[test]
+    fn dual_window_burn_reads_fast_and_slow_windows() {
+        // Bad counter burns 30 of a 100-per-tick budget (objective 0.9) in
+        // ticks 4..6.
+        let s = Tsdb::default();
+        for (t, v) in [(1u64, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, 30.0), (6, 60.0)] {
+            s.append(SeriesKey::value("bad_total", &[]), t, v);
+        }
+        let burn = |w: u64| {
+            let src = format!(
+                "clamp_min(increase(bad_total[{w}]), 0) / (100 * min({w}, max(tick(), 1))) / {}",
+                1.0 - 0.9
+            );
+            eval_str(&s, &src, 6).first_value().unwrap()
+        };
+        // Fast window 2: delta v(6)-v(4) = 60 over 200 expected → ratio
+        // 0.3 / budget 0.1 → burn 3.0. Slow window 5: delta v(6)-v(1) = 60
+        // over 500 → 0.12 / 0.1 → burn 1.2.
+        assert!((burn(2) - 3.0).abs() < 1e-12, "{}", burn(2));
+        assert!((burn(5) - 1.2).abs() < 1e-12, "{}", burn(5));
+    }
+
+    #[test]
+    fn eval_range_rejects_more_than_the_step_cap() {
+        let s = store();
+        let expr = parse("tick()").unwrap();
+        let at_cap = eval_range(&s, &expr, 1, MAX_RANGE_STEPS, 1).unwrap();
+        assert_eq!(at_cap[0].points.len() as u64, MAX_RANGE_STEPS);
+        assert!(eval_range(&s, &expr, 1, MAX_RANGE_STEPS + 1, 1).is_err());
+        assert!(eval_range(&s, &expr, 0, u64::MAX, 1).is_err(), "no overflow, no loop");
+        assert!(eval_range(&s, &expr, 0, u64::MAX, u64::MAX / 2).is_ok(), "three steps");
+        assert!(eval_range(&s, &expr, 5, 1, 1).unwrap().is_empty(), "empty range");
     }
 
     #[test]
@@ -1826,20 +1869,7 @@ mod tests {
         let v = vec_of(eval_str(&s, "shard:req:rate2{shard=\"a\"}", 8));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].value, 10.0);
-        // Synthetic series are queryable through the raw TSDB API too.
-        assert_eq!(s.query(&Query::family("shard:req:rate2")).len(), 2);
-    }
-
-    #[test]
-    fn value_json_is_stable() {
-        let s = store();
-        let v = eval_str(&s, "sum by (shard) (req_total)", 8);
-        assert_eq!(
-            value_json(&v),
-            "{\"type\":\"vector\",\"samples\":[\
-             {\"name\":\"\",\"labels\":{\"shard\":\"a\"},\"value\":80},\
-             {\"name\":\"\",\"labels\":{\"shard\":\"b\"},\"value\":24}]}"
-        );
-        assert_eq!(value_json(&Value::Scalar(1.5)), "{\"type\":\"scalar\",\"value\":1.5}");
+        // Synthetic series are readable through the raw TSDB API too.
+        assert_eq!(s.series("shard:req:rate2", u64::MAX).len(), 2);
     }
 }

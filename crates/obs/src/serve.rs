@@ -15,27 +15,28 @@
 //! | `/trace`        | flight-recorder dump as Chrome trace-event JSON     |
 //! | `/trace.txt`    | flight-recorder dump as an indented text tree       |
 //! | `/events`       | buffered structured events as JSON                  |
-//! | `/query`        | time-series store query as JSON (needs `with_tsdb`) |
+//! | `/query`        | query-language evaluation at one tick (needs `with_tsdb`) |
 //! | `/query_range`  | query-language evaluation over a tick range (needs `with_tsdb`) |
-//! | `/alerts`       | alert statuses + transition history as JSON         |
-//! | `/slo`          | SLO burn-rate picture as JSON                       |
-//!
-//! `/query` filters with query-string parameters, all optional and
-//! conjunctive: `name=<family>`, `label.<key>=<value>` (repeatable),
-//! `field=value|count|sum|max|p50|p95|p99`, `from=<tick>`, `to=<tick>`,
-//! and `limit=<n>` (keep only the newest `n` in-range points per series,
-//! so full-ring dumps are opt-in rather than the default failure mode) —
-//! e.g. `/query?name=commgraph_subscription_records_total&label.subscription=t-1&limit=100`.
-//! Values are taken verbatim (no percent-decoding); metric names and label
-//! values in this workspace are URL-safe by construction.
+//! | `/alerts`       | alert statuses + transition history as JSON (needs `with_alerts`) |
+//! | `/slo`          | newest `slo:*` recording-rule samples as JSON (needs `with_tsdb`) |
 //!
 //! `/query_range?expr=<expression>&from=<tick>&to=<tick>&step=<ticks>`
 //! evaluates a [`crate::query`] expression at every step between `from`
 //! (default `1`) and `to` (default the store's last tick) and returns
-//! tick-keyed JSON. `expr` **is** percent-decoded (it carries `{`, `"`,
-//! and spaces); a malformed expression returns `400` with the parse error
-//! in the body. Responses are a pure function of store contents, so
+//! tick-keyed JSON. `/query?expr=<expression>&tick=<tick>` is the instant
+//! form: the same evaluator and JSON shape with `from = to = tick`
+//! (default the store's last tick). `expr` is percent-decoded (it carries
+//! `{`, `"`, and spaces); a missing or malformed expression, an
+//! unparsable `from`/`to`/`step`/`tick`, or a range of more than
+//! [`crate::query::MAX_RANGE_STEPS`] ticks returns `400` with the reason in
+//! the body. Responses are a pure function of store contents, so
 //! same-seed replays are byte-identical.
+//!
+//! `/slo` serves, for every family whose name starts with `slo:` (by
+//! convention `slo:<name>:burn<window>` recording rules, e.g. from
+//! [`crate::alert::slo_rules`]), the newest sample at the store's last tick
+//! of each of its series: `{"tick":T,"slos":[{"name":..,"labels":{..},
+//! "value":..},..]}`.
 //!
 //! Every request increments `commgraph_serve_requests_total{path=...}` with
 //! the path (query string stripped) normalized to the known endpoint set
@@ -44,9 +45,10 @@
 
 use crate::alert::AlertEngine;
 use crate::export;
+use crate::query::{self, Expr, Value};
 use crate::registry::Registry;
 use crate::trace::{chrome_trace_json, render_tree, FlightDump, Tracer};
-use crate::tsdb::{Query, SampleField, Tsdb};
+use crate::tsdb::Tsdb;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,7 +58,8 @@ use std::time::Duration;
 
 /// Builder for the introspection server: a registry to expose, optionally a
 /// tracer whose flight recorder backs `/trace`, a time-series store backing
-/// `/query`, and an alert engine backing `/alerts` + `/slo`.
+/// `/query`, `/query_range`, and `/slo`, and an alert engine backing
+/// `/alerts`.
 #[derive(Debug, Clone)]
 pub struct IntrospectionServer {
     registry: Arc<Registry>,
@@ -87,13 +90,14 @@ impl IntrospectionServer {
         self
     }
 
-    /// Attach the time-series store `/query` reads.
+    /// Attach the time-series store `/query`, `/query_range`, and `/slo`
+    /// read.
     pub fn with_tsdb(mut self, tsdb: Arc<Tsdb>) -> Self {
         self.tsdb = Some(tsdb);
         self
     }
 
-    /// Attach the alert engine `/alerts` and `/slo` read.
+    /// Attach the alert engine `/alerts` reads.
     pub fn with_alerts(mut self, alerts: Arc<AlertEngine>) -> Self {
         self.alerts = Some(alerts);
         self
@@ -197,20 +201,20 @@ fn handle_conn(stream: &mut TcpStream, ctx: &ServeCtx) -> io::Result<()> {
             }
             "/events" => ("200 OK", "application/json", export::events_json(registry)),
             "/query" => match &ctx.tsdb {
-                Some(db) => ("200 OK", "application/json", db.query_json(&parse_query(query))),
+                Some(db) => expr_response(db, query, false),
                 None => unavailable("no time-series store attached"),
             },
             "/query_range" => match &ctx.tsdb {
-                Some(db) => query_range_response(db, query),
+                Some(db) => expr_response(db, query, true),
                 None => unavailable("no time-series store attached"),
             },
             "/alerts" => match &ctx.alerts {
                 Some(a) => ("200 OK", "application/json", a.alerts_json()),
                 None => unavailable("no alert engine attached"),
             },
-            "/slo" => match &ctx.alerts {
-                Some(a) => ("200 OK", "application/json", a.slo_json()),
-                None => unavailable("no alert engine attached"),
+            "/slo" => match &ctx.tsdb {
+                Some(db) => ("200 OK", "application/json", slo_document(db)),
+                None => unavailable("no time-series store attached"),
             },
             _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n".to_string()),
         }
@@ -225,40 +229,22 @@ fn handle_conn(stream: &mut TcpStream, ctx: &ServeCtx) -> io::Result<()> {
     stream.flush()
 }
 
+/// Status line, content type, and body of one response.
+type Response = (&'static str, &'static str, String);
+
 /// The 503 triple for an endpoint whose backing component is not attached.
-fn unavailable(reason: &str) -> (&'static str, &'static str, String) {
+fn unavailable(reason: &str) -> Response {
     ("503 Service Unavailable", "text/plain; charset=utf-8", format!("{reason}\n"))
 }
 
-/// Parse `/query` parameters (see the module docs for the grammar).
-/// Unknown keys and malformed numbers are ignored — a dashboard typo
-/// returns a broader result set, never an error page.
-fn parse_query(query: &str) -> Query {
-    let mut q = Query::default();
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = match pair.split_once('=') {
-            Some(kv) => kv,
-            None => continue,
-        };
-        match key {
-            "name" => q.name = Some(value.to_string()),
-            "field" => q.field = SampleField::parse(value),
-            "from" => q.from = value.parse().ok(),
-            "to" => q.to = value.parse().ok(),
-            "limit" => q.limit = value.parse().ok(),
-            _ => {
-                if let Some(label) = key.strip_prefix("label.") {
-                    q.matchers.push((label.to_string(), value.to_string()));
-                }
-            }
-        }
-    }
-    q
+/// A 400 with a JSON `{"error":...}` body.
+fn bad_request(reason: &str) -> Response {
+    ("400 Bad Request", "application/json", format!("{{\"error\":{}}}", export::json_str(reason)))
 }
 
-/// Minimal percent-decoding for `/query_range` expressions: `%XX` byte
-/// escapes and `+` as space. Invalid escapes pass through verbatim (the
-/// parser will reject them with a useful message).
+/// Minimal percent-decoding for `/query` and `/query_range` expressions:
+/// `%XX` byte escapes and `+` as space. Invalid escapes pass through
+/// verbatim (the parser will reject them with a useful message).
 fn url_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -286,39 +272,54 @@ fn url_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Evaluate a `/query_range` request: `expr` (percent-decoded), `from`
-/// (default 1), `to` (default the store's last tick), `step` (default 1).
-fn query_range_response(db: &Arc<Tsdb>, query: &str) -> (&'static str, &'static str, String) {
-    let mut expr = None;
-    let (mut from, mut to, mut step) = (1u64, db.last_tick(), 1u64);
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = match pair.split_once('=') {
-            Some(kv) => kv,
-            None => continue,
-        };
-        match key {
-            "expr" => expr = Some(url_decode(value)),
-            "from" => from = value.parse().unwrap_or(from),
-            "to" => to = value.parse().unwrap_or(to),
-            "step" => step = value.parse().unwrap_or(step),
-            _ => {}
+/// The raw value of query-string parameter `key` (first occurrence).
+fn param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
+    query.split('&').filter_map(|p| p.split_once('=')).find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
+/// Tick-valued parameter `key`: `default` when absent, a 400 naming the
+/// parameter when present but not a `u64`.
+fn tick_param(query: &str, key: &str, default: u64) -> Result<u64, Response> {
+    match param(query, key) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| bad_request(&format!("invalid {key} parameter: {v:?}"))),
+    }
+}
+
+/// Evaluate a `/query_range` (`range`) or `/query` request through
+/// [`query::query_range_json`]; see the module docs for the parameters.
+fn expr_response(db: &Tsdb, query: &str, range: bool) -> Response {
+    let Some(expr) = param(query, "expr") else { return bad_request("missing expr parameter") };
+    let last = db.last_tick();
+    let bounds = if range {
+        tick_param(query, "from", 1).and_then(|from| {
+            Ok((from, tick_param(query, "to", last)?, tick_param(query, "step", 1)?))
+        })
+    } else {
+        tick_param(query, "tick", last).map(|tick| (tick, tick, 1))
+    };
+    let (from, to, step) = match bounds {
+        Ok(b) => b,
+        Err(response) => return response,
+    };
+    match query::query_range_json(db, &url_decode(expr), from, to, step) {
+        Ok(body) => ("200 OK", "application/json", body),
+        Err(e) => bad_request(&e.to_string()),
+    }
+}
+
+/// The `/slo` document: every `slo:`-prefixed family read as an instant
+/// selector at the store's last tick.
+fn slo_document(db: &Tsdb) -> String {
+    let tick = db.last_tick();
+    let mut samples = Vec::new();
+    for name in db.family_names("slo:") {
+        let sel = Expr::Selector(query::Selector { name, matchers: Vec::new() });
+        if let Ok(Value::Vector(v)) = query::eval(db, &sel, tick) {
+            samples.extend(v);
         }
     }
-    let Some(expr) = expr else {
-        return (
-            "400 Bad Request",
-            "application/json",
-            "{\"error\":\"missing expr parameter\"}".to_string(),
-        );
-    };
-    match crate::query::query_range_json(db, &expr, from, to, step) {
-        Ok(body) => ("200 OK", "application/json", body),
-        Err(e) => (
-            "400 Bad Request",
-            "application/json",
-            format!("{{\"error\":{}}}", export::json_str(&e.to_string())),
-        ),
-    }
+    format!("{{\"tick\":{tick},\"slos\":{}}}", query::samples_json(&samples))
 }
 
 /// A dump of the attached tracer, or an empty dump when none is attached
@@ -439,7 +440,7 @@ mod tests {
 
     #[test]
     fn query_alerts_and_slo_endpoints_serve_attached_components() {
-        use crate::alert::{AlertRule, Op, Selector};
+        use crate::alert::AlertRule;
         use crate::tsdb::SeriesKey;
 
         let registry = Arc::new(Registry::new());
@@ -447,14 +448,10 @@ mod tests {
         db.append(SeriesKey::value("demo_total", &[("sub", "a")]), 1, 5.0);
         db.append(SeriesKey::value("demo_total", &[("sub", "b")]), 1, 7.0);
         db.append(SeriesKey::value("demo_total", &[("sub", "a")]), 2, 9.0);
+        db.append(SeriesKey::value("slo:demo:burn2", &[]), 1, 0.5);
+        db.append(SeriesKey::value("slo:demo:burn2", &[]), 2, 1.5);
         let alerts = Arc::new(AlertEngine::new(crate::Obs::new(registry.clone())));
-        alerts.add_rule(AlertRule::threshold(
-            "hot",
-            Selector::value("demo_total").with_label("sub", "a"),
-            Op::Gt,
-            4.0,
-            0,
-        ));
+        alerts.add_rule(AlertRule::query("hot", "demo_total{sub=\"a\"} > 4").unwrap());
         alerts.evaluate(2, &db);
 
         let handle = IntrospectionServer::new(registry.clone())
@@ -464,12 +461,14 @@ mod tests {
             .unwrap();
         let addr = handle.addr();
 
-        let (head, body) = get(addr, "/query?name=demo_total&label.sub=a");
+        // Instant query at the last tick (2) unless `tick` says otherwise.
+        let (head, body) = get(addr, "/query?expr=demo_total%7Bsub%3D%22a%22%7D");
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        assert!(body.contains("[[1,5],[2,9]]"), "{body}");
+        assert!(body.contains("\"from\":2,\"to\":2,\"step\":1"), "{body}");
+        assert!(body.contains("\"points\":[[2,9]]"), "{body}");
         assert!(!body.contains("\"b\""), "label matcher filters: {body}");
-        let (_, ranged) = get(addr, "/query?name=demo_total&label.sub=a&from=2&to=2");
-        assert!(ranged.contains("[[2,9]]") && !ranged.contains("[1,5]"), "{ranged}");
+        let (_, earlier) = get(addr, "/query?expr=demo_total&tick=1");
+        assert!(earlier.contains("[[1,5]]") && earlier.contains("[[1,7]]"), "{earlier}");
 
         let (head, body) = get(addr, "/alerts");
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
@@ -480,7 +479,10 @@ mod tests {
 
         let (head, body) = get(addr, "/slo");
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        assert!(body.starts_with("{\"tick\":2,\"slos\":["), "{body}");
+        assert_eq!(
+            body,
+            "{\"tick\":2,\"slos\":[{\"name\":\"slo:demo:burn2\",\"labels\":{},\"value\":1.5}]}"
+        );
 
         // Query-stringed paths count under the bare route label.
         let (_, metrics) = get(addr, "/metrics");
@@ -523,9 +525,8 @@ mod tests {
         assert!(err.contains("\"error\":"), "{err}");
         let (head, _) = get(addr, "/query_range");
         assert!(head.starts_with("HTTP/1.0 400"), "missing expr: {head}");
-
-        let (_, limited) = get(addr, "/query?name=demo_total&limit=2");
-        assert!(limited.contains("[[3,30],[4,40]]") && !limited.contains("[1,10]"), "{limited}");
+        let (head, _) = get(addr, "/query");
+        assert!(head.starts_with("HTTP/1.0 400"), "missing expr: {head}");
 
         let (_, metrics) = get(addr, "/metrics");
         assert!(
@@ -536,9 +537,43 @@ mod tests {
     }
 
     #[test]
+    fn hostile_ranges_and_unparsable_ticks_are_rejected() {
+        let registry = Arc::new(Registry::new());
+        let db = Arc::new(Tsdb::default());
+        let handle = IntrospectionServer::new(registry).with_tsdb(db).start("127.0.0.1:0").unwrap();
+        let addr = handle.addr();
+
+        // The cap is checked before any tick is evaluated, so these return
+        // at once instead of looping over 2^64 ticks.
+        for path in [
+            "/query_range?expr=tick()&to=18446744073709551615",
+            "/query_range?expr=tick()&from=0&to=11000",
+        ] {
+            let (head, body) = get(addr, path);
+            assert!(head.starts_with("HTTP/1.0 400"), "{path}: {head}");
+            assert!(body.contains("above the cap of 11000"), "{path}: {body}");
+        }
+        let (head, body) = get(addr, "/query_range?expr=tick()&from=1&to=11000");
+        assert!(head.starts_with("HTTP/1.0 200"), "exactly at the cap: {head}");
+        assert!(body.contains("[11000,11000]"), "last step evaluated");
+
+        for (path, param) in [
+            ("/query_range?expr=tick()&from=x", "from"),
+            ("/query_range?expr=tick()&to=-1", "to"),
+            ("/query_range?expr=tick()&step=1.5", "step"),
+            ("/query?expr=tick()&tick=ture", "tick"),
+        ] {
+            let (head, body) = get(addr, path);
+            assert!(head.starts_with("HTTP/1.0 400"), "{path}: {head}");
+            assert!(body.contains(&format!("invalid {param} parameter")), "{path}: {body}");
+        }
+        handle.shutdown();
+    }
+
+    #[test]
     fn tsdb_endpoints_without_components_return_503() {
         let (handle, _registry, _tracer) = start_server();
-        for path in ["/query", "/alerts", "/slo"] {
+        for path in ["/query?expr=tick()", "/query_range?expr=tick()", "/alerts", "/slo"] {
             let (head, _) = get(handle.addr(), path);
             assert!(head.starts_with("HTTP/1.0 503"), "{path}: {head}");
         }

@@ -69,7 +69,8 @@ pub enum SampleField {
 }
 
 impl SampleField {
-    /// Stable lowercase name (used in `/query` URLs and JSON output).
+    /// Stable lowercase name (the synthetic `field` label of the query
+    /// engine).
     pub fn as_str(&self) -> &'static str {
         match self {
             SampleField::Value => "value",
@@ -79,20 +80,6 @@ impl SampleField {
             SampleField::P50 => "p50",
             SampleField::P95 => "p95",
             SampleField::P99 => "p99",
-        }
-    }
-
-    /// Parse the name produced by [`SampleField::as_str`].
-    pub fn parse(s: &str) -> Option<SampleField> {
-        match s {
-            "value" => Some(SampleField::Value),
-            "count" => Some(SampleField::Count),
-            "sum" => Some(SampleField::Sum),
-            "max" => Some(SampleField::Max),
-            "p50" => Some(SampleField::P50),
-            "p95" => Some(SampleField::P95),
-            "p99" => Some(SampleField::P99),
-            _ => None,
         }
     }
 
@@ -218,62 +205,12 @@ impl Default for Tsdb {
     }
 }
 
-/// A label matcher (`key` must equal `value`) for [`Query`].
-pub type Matcher = (String, String);
-
-/// A series selection: all fields optional, all conditions conjunctive.
-#[derive(Debug, Clone, Default)]
-pub struct Query {
-    /// Exact family name to match (`None` matches every family).
-    pub name: Option<String>,
-    /// Label pairs the series must carry (subset match).
-    pub matchers: Vec<Matcher>,
-    /// Restrict to one sample field.
-    pub field: Option<SampleField>,
-    /// Inclusive lower tick bound.
-    pub from: Option<u64>,
-    /// Inclusive upper tick bound.
-    pub to: Option<u64>,
-    /// Keep only the newest this-many in-range points per series (`None`
-    /// returns the full retained history).
-    pub limit: Option<usize>,
-}
-
-impl Query {
-    /// Select one family by name.
-    pub fn family(name: &str) -> Query {
-        Query { name: Some(name.to_string()), ..Query::default() }
-    }
-
-    /// Require label `key` = `value` (builder style).
-    pub fn with_label(mut self, key: &str, value: &str) -> Query {
-        self.matchers.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Restrict to one sample field (builder style).
-    pub fn with_field(mut self, field: SampleField) -> Query {
-        self.field = Some(field);
-        self
-    }
-
-    fn matches(&self, key: &SeriesKey) -> bool {
-        if self.name.as_deref().is_some_and(|n| n != key.name) {
-            return false;
-        }
-        if self.field.is_some_and(|f| f != key.field) {
-            return false;
-        }
-        self.matchers.iter().all(|(mk, mv)| key.labels.iter().any(|(k, v)| k == mk && v == mv))
-    }
-}
-
-/// One series returned by [`Tsdb::query`].
+/// One series returned by [`Tsdb::series`].
 #[derive(Debug, Clone)]
 pub struct SeriesData {
     /// The series identity.
     pub key: SeriesKey,
-    /// `(tick, value)` samples, oldest first, within the query range.
+    /// `(tick, value)` samples, oldest first, up to the requested tick.
     pub points: Vec<(u64, f64)>,
 }
 
@@ -343,102 +280,37 @@ impl Tsdb {
         inner.series.iter().map(|(k, s)| k.heap_bytes() + s.heap_bytes() + 64).sum()
     }
 
-    /// All matching series, keys in deterministic (name, labels, field)
-    /// order, each with its in-range points oldest-first.
-    pub fn query(&self, q: &Query) -> Vec<SeriesData> {
+    /// Every series of family `name`, keys in deterministic (labels,
+    /// field) order, each with its points at or before tick `to`,
+    /// oldest first. Label and field selection is the query engine's job
+    /// ([`crate::query`]); this is its raw read path.
+    pub fn series(&self, name: &str, to: u64) -> Vec<SeriesData> {
         let inner = self.lock();
+        // Keys order by name first, and the empty label set with the
+        // `value` field is the smallest key of a family.
+        let first =
+            SeriesKey { name: name.to_string(), labels: Vec::new(), field: SampleField::Value };
         inner
             .series
-            .iter()
-            .filter(|(key, _)| q.matches(key))
-            .map(|(key, series)| {
-                let mut points: Vec<(u64, f64)> = series
-                    .points()
-                    .filter(|(t, _)| {
-                        q.from.is_none_or(|f| *t >= f) && q.to.is_none_or(|to| *t <= to)
-                    })
-                    .collect();
-                if let Some(limit) = q.limit {
-                    if points.len() > limit {
-                        points.drain(..points.len() - limit);
-                    }
-                }
-                SeriesData { key: key.clone(), points }
+            .range(first..)
+            .take_while(|(key, _)| key.name == name)
+            .map(|(key, series)| SeriesData {
+                key: key.clone(),
+                points: series.points().take_while(|(t, _)| *t <= to).collect(),
             })
             .collect()
     }
 
-    /// The newest sample at or before `tick` of the first series matching
-    /// `q` (queries meant for alerting should select exactly one series).
-    pub fn latest_at(&self, q: &Query, tick: u64) -> Option<(u64, f64)> {
+    /// Distinct family names starting with `prefix`, in sorted order.
+    pub fn family_names(&self, prefix: &str) -> Vec<String> {
         let inner = self.lock();
-        inner
-            .series
-            .iter()
-            .find(|(key, _)| q.matches(key))
-            .and_then(|(_, s)| s.points().take_while(|(t, _)| *t <= tick).last())
-    }
-
-    /// Increase of a (cumulative) series over the `window` ticks ending at
-    /// `tick`: newest value at or before `tick` minus the newest value at or
-    /// before `tick - window` (falling back to the oldest retained sample
-    /// when the window start predates retention — a documented undercount
-    /// for series born mid-window). `None` when the series has no sample at
-    /// or before `tick`.
-    pub fn window_delta(&self, q: &Query, window: u64, tick: u64) -> Option<f64> {
-        let inner = self.lock();
-        let (_, series) = inner.series.iter().find(|(key, _)| q.matches(key))?;
-        let upto: Vec<(u64, f64)> = series.points().take_while(|(t, _)| *t <= tick).collect();
-        let (_, end) = *upto.last()?;
-        let floor = tick.saturating_sub(window);
-        let start = upto
-            .iter()
-            .take_while(|(t, _)| *t <= floor)
-            .last()
-            .or_else(|| upto.first())
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0);
-        Some(end - start)
-    }
-
-    /// Render a query result as JSON:
-    /// `{"series":[{"name":..,"labels":{..},"field":..,"points":[[tick,value],..]},..]}`.
-    /// Output is deterministic for deterministic inputs (tick-keyed, no
-    /// wall-clock timestamps).
-    pub fn query_json(&self, q: &Query) -> String {
-        let mut out = String::from("{\"series\":[");
-        for (i, s) in self.query(q).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut names: Vec<String> = Vec::new();
+        for key in inner.series.keys().filter(|k| k.name.starts_with(prefix)) {
+            if names.last() != Some(&key.name) {
+                names.push(key.name.clone());
             }
-            out.push_str("{\"name\":");
-            out.push_str(&crate::export::json_str(&s.key.name));
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in s.key.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&crate::export::json_str(k));
-                out.push(':');
-                out.push_str(&crate::export::json_str(v));
-            }
-            out.push_str("},\"field\":\"");
-            out.push_str(s.key.field.as_str());
-            out.push_str("\",\"points\":[");
-            for (j, (t, v)) in s.points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                out.push_str(&t.to_string());
-                out.push(',');
-                out.push_str(&crate::export::json_f64(*v));
-                out.push(']');
-            }
-            out.push_str("]}");
         }
-        out.push_str("]}");
-        out
+        names
     }
 }
 
@@ -691,18 +563,18 @@ mod tests {
             db.append(SeriesKey::value("a_total", &[("k", "x")]), t, t as f64);
             db.append(SeriesKey::value("b_total", &[]), t, 10.0 * t as f64);
         }
-        let all = db.query(&Query::default());
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].key.name, "a_total");
-        assert_eq!(all[0].points, (1..=5).map(|t| (t, t as f64)).collect::<Vec<_>>());
+        let a = db.series("a_total", u64::MAX);
+        assert_eq!(a.len(), 1);
+        assert_eq!(a[0].key.labels, vec![("k".to_string(), "x".to_string())]);
+        assert_eq!(a[0].points, (1..=5).map(|t| (t, t as f64)).collect::<Vec<_>>());
 
-        let ranged = db.query(&Query { from: Some(2), to: Some(4), ..Query::family("b_total") });
-        assert_eq!(ranged.len(), 1);
-        assert_eq!(ranged[0].points, vec![(2, 20.0), (3, 30.0), (4, 40.0)]);
-
-        let labeled = db.query(&Query::family("a_total").with_label("k", "x"));
-        assert_eq!(labeled.len(), 1);
-        assert!(db.query(&Query::family("a_total").with_label("k", "y")).is_empty());
+        let upto = db.series("b_total", 4);
+        assert_eq!(upto.len(), 1);
+        assert_eq!(upto[0].points, vec![(1, 10.0), (2, 20.0), (3, 30.0), (4, 40.0)]);
+        assert!(db.series("b_total", 0)[0].points.is_empty(), "no sample at or before tick 0");
+        assert!(db.series("a", u64::MAX).is_empty(), "family names match exactly");
+        assert_eq!(db.family_names(""), vec!["a_total".to_string(), "b_total".to_string()]);
+        assert_eq!(db.family_names("b_"), vec!["b_total".to_string()]);
     }
 
     #[test]
@@ -711,7 +583,7 @@ mod tests {
         for t in 1..=7u64 {
             db.append(SeriesKey::value("x_total", &[]), t, t as f64);
         }
-        let s = &db.query(&Query::default())[0];
+        let s = &db.series("x_total", u64::MAX)[0];
         assert_eq!(s.points, vec![(5, 5.0), (6, 6.0), (7, 7.0)], "oldest evicted first");
         assert_eq!(db.appended_samples(), 7);
         assert_eq!(db.evicted_samples(), 4);
@@ -733,21 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn window_delta_and_latest() {
-        let db = Tsdb::default();
-        let q = Query::family("c_total");
-        for (t, v) in [(1u64, 0.0), (2, 10.0), (3, 10.0), (4, 25.0)] {
-            db.append(SeriesKey::value("c_total", &[]), t, v);
-        }
-        assert_eq!(db.latest_at(&q, 4), Some((4, 25.0)));
-        assert_eq!(db.latest_at(&q, 3), Some((3, 10.0)));
-        assert_eq!(db.latest_at(&q, 0), None);
-        assert_eq!(db.window_delta(&q, 2, 4), Some(15.0), "v(4) - v(2)");
-        assert_eq!(db.window_delta(&q, 10, 4), Some(25.0), "clamps to oldest retained");
-        assert_eq!(db.window_delta(&q, 2, 0), None, "no sample at or before tick 0");
-    }
-
-    #[test]
     fn scraper_samples_counters_gauges_and_histogram_fields() {
         let registry = Arc::new(Registry::new());
         registry.counter("demo_total", "h", &[]).add(3);
@@ -759,34 +616,21 @@ mod tests {
         let scraper = Scraper::new(registry.clone(), Arc::new(Tsdb::default()));
         let appended = scraper.scrape(1);
         let db = scraper.store();
-        let counter = db.query(&Query::family("demo_total"));
+        let counter = db.series("demo_total", u64::MAX);
         assert_eq!(counter[0].points, vec![(1, 3.0)]);
-        let hist = db.query(&Query::family("demo_seconds"));
+        let hist = db.series("demo_seconds", u64::MAX);
         assert_eq!(hist.len(), 6, "histograms fan out into scalar sub-series");
-        let count = db.query(&Query::family("demo_seconds").with_field(SampleField::Count));
-        assert_eq!(count[0].points, vec![(1, 2.0)]);
-        let sum = db.query(&Query::family("demo_seconds").with_field(SampleField::Sum));
-        assert_eq!(sum[0].points, vec![(1, 3.0)]);
+        let field = |f: SampleField| hist.iter().find(|s| s.key.field == f).map(|s| &s.points);
+        assert_eq!(field(SampleField::Count), Some(&vec![(1, 2.0)]));
+        assert_eq!(field(SampleField::Sum), Some(&vec![(1, 3.0)]));
         assert!(appended >= 12, "user metrics plus scraper self-metrics: {appended}");
         assert_eq!(db.appended_samples(), appended as u64);
 
         // Second scrape sees the scraper's own scrape_seconds histogram.
         scraper.scrape(2);
-        let self_cost = db.query(&Query::family("commgraph_tsdb_scrape_seconds"));
+        let self_cost = db.series("commgraph_tsdb_scrape_seconds", u64::MAX);
         assert!(!self_cost.is_empty(), "store observes its own cost one tick behind");
         assert_eq!(db.last_tick(), 2);
-    }
-
-    #[test]
-    fn query_json_is_tick_keyed_and_parseable_shape() {
-        let db = Tsdb::default();
-        db.append(SeriesKey::value("a_total", &[("sub", "t-1")]), 3, 7.5);
-        let json = db.query_json(&Query::family("a_total"));
-        assert_eq!(
-            json,
-            "{\"series\":[{\"name\":\"a_total\",\"labels\":{\"sub\":\"t-1\"},\
-             \"field\":\"value\",\"points\":[[3,7.5]]}]}"
-        );
     }
 
     #[test]
@@ -811,7 +655,7 @@ mod tests {
         }
         handle.shutdown();
         assert!(scraper.store().last_tick() >= 2, "wall-clock ticks advanced");
-        let points = &scraper.store().query(&Query::family("wc_total"))[0].points;
+        let points = &scraper.store().series("wc_total", u64::MAX)[0].points;
         assert!(points.windows(2).all(|w| w[0].0 < w[1].0), "monotone ticks");
     }
 }

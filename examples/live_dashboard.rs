@@ -22,7 +22,7 @@ use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::graph::Facet;
 use commgraph::linalg::quantize::{log_normalize, to_ascii};
 use commgraph::linalg::Matrix;
-use commgraph::obs::alert::query_pack;
+use commgraph::obs::alert::{query_pack, slo_rules};
 use commgraph::obs::{
     trace, AlertEngine, IntrospectionServer, Obs, RecordingRule, Registry, Scraper, Tracer, Tsdb,
     TsdbConfig,
@@ -55,8 +55,8 @@ fn main() {
     let tracer = Arc::new(Tracer::new(2048));
     let obs = Obs::new(registry.clone()).with_tracer(tracer.clone());
     // Metrics history + alerting: every displayed hour is one logical tick —
-    // the registry is scraped into the TSDB and the default alert pack is
-    // evaluated against the fresh history.
+    // the registry is scraped into the TSDB and the alert pack is evaluated
+    // against the fresh history.
     let store = Arc::new(Tsdb::new(TsdbConfig::default()));
     let scraper = Arc::new(Scraper::new(registry.clone(), store.clone()));
     // A recording rule runs inside every scrape, writing the per-tick
@@ -98,13 +98,12 @@ fn main() {
         "volume moves"
     );
     let seq = &out.sequence;
-    // The expression-based twin of the default alert pack: same rules, same
-    // transitions, but every condition is a query the engine parses and
-    // evaluates per tick.
-    alerts.add_rules(
-        query_pack(out.total_records as f64 / seq.len().max(1) as f64)
-            .expect("pack expressions parse"),
-    );
+    // The alert pack: every condition is a query the engine parses and
+    // evaluates per tick. The SLO recording rules publish the freshness
+    // burn the pack alerts on as `slo:` series, which /slo serves.
+    let records_per_tick = out.total_records as f64 / seq.len().max(1) as f64;
+    alerts.add_rules(query_pack(records_per_tick).expect("pack expressions parse"));
+    scraper.add_recording_rules(slo_rules(records_per_tick).expect("slo expressions parse"));
     for (i, g) in seq.graphs().iter().enumerate() {
         let tick = i as u64 + 1;
         scraper.scrape(tick);
@@ -196,6 +195,8 @@ fn main() {
 
     println!("── /alerts (scraped over HTTP) ─────────────────────────────────");
     println!("{}", http_get(server.addr(), "/alerts"));
+    println!("── /slo (scraped over HTTP) ────────────────────────────────────");
+    println!("{}", http_get(server.addr(), "/slo"));
 
     println!("── flight recorder (/trace.txt) ────────────────────────────────");
     print!("{}", trace::render_tree(&tracer.dump()));
@@ -205,7 +206,7 @@ fn main() {
         std::env::var("COMMGRAPH_SERVE_SECS").ok().and_then(|s| s.parse::<u64>().ok())
     {
         println!(
-            "\nserving http://{} for {secs}s — try /metrics, /query?name=..., /alerts, /slo, /trace",
+            "\nserving http://{} for {secs}s — try /metrics, /query?expr=..., /alerts, /slo, /trace",
             server.addr()
         );
         std::thread::sleep(std::time::Duration::from_secs(secs));

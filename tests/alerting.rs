@@ -13,7 +13,6 @@ use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::flowlog::record::{ConnSummary, FlowKey};
 use commgraph::obs;
-use commgraph::obs::alert::{Op, Selector};
 use serde_json::Value;
 use std::io::{Read as _, Write as _};
 use std::net::{Ipv4Addr, SocketAddr};
@@ -31,6 +30,17 @@ fn http_get(addr: SocketAddr, path: &str) -> String {
         Some((_, body)) => body.to_string(),
         None => String::new(),
     }
+}
+
+/// The per-subscription roll-lag rule: tenant-a's roll lag above 600 s,
+/// held for one tick.
+fn roll_lag_rule() -> obs::AlertRule {
+    obs::AlertRule::query(
+        "subscription_roll_lag_high",
+        "commgraph_subscription_roll_lag_seconds{subscription=\"tenant-a\"} > 600",
+    )
+    .expect("rule expression parses")
+    .with_for_ticks(1)
 }
 
 /// One window's batch of a steady-churn workload. The injected fault: in
@@ -66,14 +76,7 @@ fn run_once() -> String {
     let store = Arc::new(obs::Tsdb::new(obs::TsdbConfig::default()));
     let scraper = Arc::new(obs::Scraper::new(registry.clone(), store.clone()));
     let alerts = Arc::new(obs::AlertEngine::new(o.clone()));
-    alerts.add_rule(obs::AlertRule::threshold(
-        "subscription_roll_lag_high",
-        Selector::value("commgraph_subscription_roll_lag_seconds")
-            .with_label("subscription", "tenant-a"),
-        Op::Gt,
-        600.0,
-        1,
-    ));
+    alerts.add_rule(roll_lag_rule());
 
     let mut front = ShardedEngine::new(ShardedConfig {
         obs: o,
@@ -135,12 +138,27 @@ fn lag_fault_fires_bit_identically_across_runs_over_http() {
     assert_eq!(alert["state"].as_str(), Some("inactive"), "healthy again by the last tick");
 }
 
-/// The expression-based pack is a behavioural twin of the hard-coded one:
-/// over the real sharded-engine workload (lag fault included), two alert
-/// engines — one running [`obs::alert::default_pack`], one running
-/// [`obs::alert::query_pack`] plus an expression twin of the roll-lag
-/// threshold — evaluate the same store on the same ticks and walk the
-/// exact same transition sequence.
+/// The transition sequence the retired hard-coded rule evaluator (its
+/// threshold/absence/burn-rate default pack at 20 records per tick plus a
+/// threshold twin of [`roll_lag_rule`]) produced on this workload, recorded
+/// before that evaluator was deleted. It is the oracle
+/// [`obs::alert::query_pack`] must keep reproducing.
+const HARD_CODED_GOLDEN: [(u64, &str, obs::AlertState, obs::AlertState); 6] = {
+    use obs::AlertState::{Firing, Inactive, Pending, Resolved};
+    [
+        (1, "incremental_savings_stalled", Inactive, Pending),
+        (1, "incremental_savings_stalled", Pending, Firing),
+        (4, "subscription_roll_lag_high", Inactive, Pending),
+        (5, "subscription_roll_lag_high", Pending, Firing),
+        (6, "subscription_roll_lag_high", Firing, Resolved),
+        (7, "subscription_roll_lag_high", Resolved, Inactive),
+    ]
+};
+
+/// The expression pack is a behavioural twin of the retired hard-coded
+/// rules: over the real sharded-engine workload (lag fault included),
+/// [`obs::alert::query_pack`] plus the roll-lag rule walk exactly the
+/// transition sequence pinned in [`HARD_CODED_GOLDEN`].
 #[test]
 fn query_pack_matches_hard_coded_rules_on_the_real_workload() {
     const RATE: f64 = 20.0; // records per window batch
@@ -150,31 +168,9 @@ fn query_pack_matches_hard_coded_rules_on_the_real_workload() {
     let store = Arc::new(obs::Tsdb::new(obs::TsdbConfig::default()));
     let scraper = Arc::new(obs::Scraper::new(registry.clone(), store.clone()));
 
-    let hard = Arc::new(obs::AlertEngine::new(o.clone()));
-    for rule in obs::alert::default_pack(RATE) {
-        hard.add_rule(rule);
-    }
-    hard.add_rule(obs::AlertRule::threshold(
-        "subscription_roll_lag_high",
-        Selector::value("commgraph_subscription_roll_lag_seconds")
-            .with_label("subscription", "tenant-a"),
-        Op::Gt,
-        600.0,
-        1,
-    ));
-
-    let expr = Arc::new(obs::AlertEngine::new(o.clone()));
-    for rule in obs::alert::query_pack(RATE).expect("pack expressions parse") {
-        expr.add_rule(rule);
-    }
-    expr.add_rule(
-        obs::AlertRule::query(
-            "subscription_roll_lag_high",
-            "commgraph_subscription_roll_lag_seconds{subscription=\"tenant-a\"} > 600",
-        )
-        .expect("twin expression parses")
-        .with_for_ticks(1),
-    );
+    let alerts = Arc::new(obs::AlertEngine::new(o.clone()));
+    alerts.add_rules(obs::alert::query_pack(RATE).expect("pack expressions parse"));
+    alerts.add_rule(roll_lag_rule());
 
     let mut front = ShardedEngine::new(ShardedConfig {
         obs: o,
@@ -186,18 +182,17 @@ fn query_pack_matches_hard_coded_rules_on_the_real_workload() {
         front.ingest("tenant-a", &window_batch(w)).unwrap();
         let tick = w + 1;
         scraper.scrape(tick);
-        hard.evaluate(tick, &store);
-        expr.evaluate(tick, &store);
+        alerts.evaluate(tick, &store);
     }
     front.finish().unwrap();
 
-    let strip = |e: &obs::AlertEngine| -> Vec<(u64, String, obs::AlertState, obs::AlertState)> {
-        e.history().iter().map(|t| (t.tick, t.rule.clone(), t.from, t.to)).collect()
-    };
-    let hard_seq = strip(&hard);
-    assert_eq!(hard_seq, strip(&expr), "expression twins walk the same transition sequence");
+    let seq: Vec<(u64, String, obs::AlertState, obs::AlertState)> =
+        alerts.history().iter().map(|t| (t.tick, t.rule.clone(), t.from, t.to)).collect();
+    let golden: Vec<(u64, String, obs::AlertState, obs::AlertState)> =
+        HARD_CODED_GOLDEN.iter().map(|&(t, r, f, to)| (t, r.to_string(), f, to)).collect();
+    assert_eq!(seq, golden, "the expression pack walks the recorded transition sequence");
     assert!(
-        hard_seq.iter().any(|(_, rule, _, to)| {
+        seq.iter().any(|(_, rule, _, to)| {
             rule == "subscription_roll_lag_high" && *to == obs::AlertState::Firing
         }),
         "the injected lag fault actually fires inside the compared sequence"

@@ -177,11 +177,13 @@ fn one_scrape_serves_every_canonical_family_and_trace_nests() {
     let o = obs::Obs::new(registry.clone()).with_tracer(tracer.clone());
 
     // Metrics history + alerting ride the same run: window rolls drive the
-    // scrape ticks, and the default pack registers the alert families.
+    // scrape ticks, and the alert pack registers the alert families.
     let store = Arc::new(obs::Tsdb::new(obs::TsdbConfig::default()));
     let scraper = Arc::new(obs::Scraper::new(registry.clone(), store.clone()));
     let alerts = Arc::new(obs::AlertEngine::new(o.clone()));
-    alerts.add_rules(commgraph::obs::alert::default_pack(1000.0));
+    alerts.add_rules(obs::alert::query_pack(1000.0).expect("pack expressions parse"));
+    // The freshness-SLO burn recording rules back `/slo`.
+    scraper.add_recording_rules(obs::alert::slo_rules(1000.0).expect("slo expressions parse"));
     // A recording rule makes the query families part of the single-scrape
     // contract: `commgraph_query_rule_series_total` registers on install,
     // and the eval pass records `commgraph_query_rule_eval_seconds`.
@@ -223,19 +225,27 @@ fn one_scrape_serves_every_canonical_family_and_trace_nests() {
     let listed = snapshot["metrics"].as_array().expect("metrics array");
     assert!(listed.len() >= obs::names::METRICS.len(), "snapshot lists every family");
 
-    // The metrics-history endpoints serve in the same HTTP pass: `/query`
-    // returns the scraped per-tick history of a canonical family, filtered
-    // down by label matcher and field…
-    let query: Value = serde_json::from_str(&http_get(
+    // The metrics-history endpoints serve in the same HTTP pass:
+    // `/query_range` returns the scraped per-tick history of a canonical
+    // family, filtered down by label matcher…
+    let range: Value = serde_json::from_str(&http_get(
         addr,
-        "/query?name=commgraph_ingest_watermark_seconds&label.source=pipeline&field=value",
+        "/query_range?expr=commgraph_ingest_watermark_seconds%7Bsource%3D%22pipeline%22%7D",
     ))
-    .expect("valid /query JSON");
-    let series = query["series"].as_array().expect("series array");
+    .expect("valid /query_range JSON");
+    let series = range["series"].as_array().expect("series array");
     assert_eq!(series.len(), 1, "one matching series");
     let points = series[0]["points"].as_array().expect("points array");
     assert!(!points.is_empty(), "window-roll ticks scraped history");
     assert_eq!(points[0][0].as_u64(), Some(1), "ticks are logical, starting at 1");
+    // …and `/query` answers the same expression at the last tick.
+    let instant: Value = serde_json::from_str(&http_get(
+        addr,
+        "/query?expr=commgraph_ingest_watermark_seconds%7Bsource%3D%22pipeline%22%7D",
+    ))
+    .expect("valid /query JSON");
+    let last = points.last().expect("newest point");
+    assert_eq!(instant["series"][0]["points"][0], *last, "instant query = newest range point");
 
     // …`/alerts` carries the evaluated rule states and transition log…
     let alerts_doc: Value =
@@ -243,12 +253,12 @@ fn one_scrape_serves_every_canonical_family_and_trace_nests() {
     let listed = alerts_doc["alerts"].as_array().expect("alerts array");
     assert_eq!(
         listed.len(),
-        commgraph::obs::alert::default_pack(1000.0).len(),
-        "every default-pack rule reports a state"
+        obs::alert::query_pack(1000.0).expect("pack expressions parse").len(),
+        "every pack rule reports a state"
     );
     assert!(listed.iter().all(|a| a["state"].as_str().is_some()));
 
-    // …and `/slo` exposes the burn-rate picture of the SLO-backed rules.
+    // …and `/slo` exposes the `slo:` recording-rule burn series.
     let slo_doc: Value = serde_json::from_str(&http_get(addr, "/slo")).expect("valid /slo JSON");
     assert!(!slo_doc["slos"].as_array().expect("slos array").is_empty());
 
